@@ -23,6 +23,10 @@ ESTIMATORS = {
 }
 
 
+# Relative tie tolerance of CV scores, in units of the data's mean square.
+_TIE_RTOL = 1e-15
+
+
 class AllBandwidthsInvalid(ValueError):
     """Every candidate bandwidth failed on at least one fold."""
 
@@ -86,20 +90,23 @@ def cross_validate(series: FunctionalSeries, cfg: CvConfig,
     folds = fold_indices(n, cfg.k, cfg.fold_scheme)
     fit = ESTIMATORS[cfg.estimator]
     all_idx = np.arange(n)
+    # Each fold's training series is built once and reused across the grid.
+    splits = [(series.subset(np.setdiff1d(all_idx, val_idx)),
+               series.times[val_idx], series.values[val_idx])
+              for val_idx in folds]
 
     scores = np.zeros(grid.size)
     for j, h in enumerate(grid):
+        cfg_h = SmoothConfig(h, kernel)
         total = 0.0
         count = 0
-        for val_idx in folds:
-            train = series.subset(np.setdiff1d(all_idx, val_idx))
+        for train, val_times, val_values in splits:
             try:
-                est = fit(train, SmoothConfig(h, kernel),
-                          eval_times=series.times[val_idx])
+                est = fit(train, cfg_h, eval_times=val_times)
             except (SingularFit, BandwidthTooSmall, EmptyWindow):
                 total = np.inf
                 break
-            resid = est.mu_hat - series.values[val_idx]
+            resid = est.mu_hat - val_values
             total += float((resid * resid).sum())
             count += resid.size
         scores[j] = total / count if np.isfinite(total) else np.inf
@@ -108,6 +115,8 @@ def cross_validate(series: FunctionalSeries, cfg: CvConfig,
         raise AllBandwidthsInvalid(
             "no candidate bandwidth produced a valid fit on all folds")
     # Smallest h within a hair of the minimum: scores that differ only by
-    # rounding noise (exactly reproduced data) count as ties.
-    best = int(np.argmax(scores <= np.min(scores) + 1e-15))
+    # rounding noise (exactly reproduced data) count as ties. Scores are in
+    # squared data units, so the hair is relative to the data's mean square.
+    tol = _TIE_RTOL * float(np.mean(series.values ** 2))
+    best = int(np.argmax(scores <= np.min(scores) + tol))
     return CvReport(grid, scores, float(grid[best]))

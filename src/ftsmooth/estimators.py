@@ -36,6 +36,14 @@ JACKKNIFE_DERIV_COEF_LARGE = 1.0 / (_SQRT2 - 1.0)
 # test does not depend on the 1/(nh) normalization.
 _SINGULAR_RTOL = 1e-12
 
+# Evaluation points per block of the windowed kernel sums.
+_BLOCK = 32
+# A block's training slice reaches a little past h, so that rounding in
+# t +- h never drops a stamp the in-block test |u| <= 1 keeps: the slice
+# only bounds the work, the test alone decides window membership.
+_REACH_RTOL = 1e-12
+_REACH_ATOL = 1e-15
+
 
 class SingularFit(ValueError):
     """Local linear normal equations are degenerate at some t."""
@@ -113,23 +121,51 @@ class WeightStats:
         return self.S0 * self.S2 - self.S1 ** 2
 
 
-def _components(times: np.ndarray, values: np.ndarray,
-                eval_times: np.ndarray, h: float, kernel: Kernel):
-    """Unnormalized S0..S2, R0, R1 and window counts at each eval point.
+def _kernel_sums(times: np.ndarray, values: np.ndarray,
+                 eval_times: np.ndarray, h: float, kernel: Kernel,
+                 linear: bool):
+    """Unnormalized kernel sums at each eval point, over its window only.
 
-    Vectorized over evaluation points; the 1/(nh) factor cancels in every
-    estimator and is applied only by weight_stats.
+    Returns [s0, r0], or [s0, r0, s1, s2, r1, counts] when linear. The
+    1/(nh) factor cancels in every estimator and is applied only by
+    weight_stats. Evaluation points are walked in sorted blocks of _BLOCK;
+    each block sums directly over the contiguous training stamps within
+    reach of its span, so memory is O(block x window), not O(n_eval x n).
     """
-    u = (times[None, :] - eval_times[:, None]) / h
-    w = kernel(u)
-    counts = (np.abs(u) <= 1.0).sum(axis=1)
-    wu = w * u
-    s0 = w.sum(axis=1)
-    s1 = wu.sum(axis=1)
-    s2 = (wu * u).sum(axis=1)
-    r0 = w @ values
-    r1 = wu @ values
-    return s0, s1, s2, r0, r1, counts
+    order = None
+    if not np.all(eval_times[1:] >= eval_times[:-1]):  # NaN sorts last
+        order = np.argsort(eval_times, kind="stable")
+        eval_times = eval_times[order]
+    ne, p = eval_times.size, values.shape[1]
+    s0, r0 = np.empty(ne), np.empty((ne, p))
+    if linear:
+        s1, s2, r1 = np.empty(ne), np.empty(ne), np.empty((ne, p))
+        counts = np.empty(ne, dtype=np.intp)
+
+    starts = np.arange(0, ne, _BLOCK)
+    stops = np.minimum(starts + _BLOCK, ne)
+    reach = h * (1.0 + _REACH_RTOL) + _REACH_ATOL * float(
+        np.nanmax(np.abs(eval_times), initial=1.0))
+    los = np.searchsorted(times, eval_times[starts] - reach, "left")
+    his = np.searchsorted(times, eval_times[stops - 1] + reach, "right")
+    for a, b, lo, hi in zip(starts, stops, los, his):
+        u = (times[lo:hi] - eval_times[a:b, None]) / h
+        w = kernel(u)
+        s0[a:b] = w.sum(axis=1)
+        r0[a:b] = w @ values[lo:hi]
+        if linear:
+            counts[a:b] = np.count_nonzero(np.abs(u) <= 1.0, axis=1)
+            wu = w * u
+            s1[a:b] = wu.sum(axis=1)
+            s2[a:b] = (wu * u).sum(axis=1)
+            r1[a:b] = wu @ values[lo:hi]
+
+    out = [s0, r0, s1, s2, r1, counts] if linear else [s0, r0]
+    if order is not None:
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(ne)
+        out = [arr[inverse] for arr in out]
+    return out
 
 
 def weight_stats(series: FunctionalSeries, t: float,
@@ -168,8 +204,8 @@ def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
         eval_times = series.times
     eval_times = np.asarray(eval_times, dtype=float)
     h = cfg.bandwidth
-    s0, s1, s2, r0, r1, counts = _components(
-        series.times, series.values, eval_times, h, cfg.kernel)
+    s0, r0, s1, s2, r1, counts = _kernel_sums(
+        series.times, series.values, eval_times, h, cfg.kernel, linear=True)
 
     if np.any(counts < 2):
         t_bad = float(eval_times[np.argmax(counts < 2)])
@@ -191,13 +227,12 @@ def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
         eval_times = series.times
     eval_times = np.asarray(eval_times, dtype=float)
     h = cfg.bandwidth
-    u = (series.times[None, :] - eval_times[:, None]) / h
-    w = cfg.kernel(u)
-    s0 = w.sum(axis=1)
+    s0, r0 = _kernel_sums(series.times, series.values, eval_times, h,
+                          cfg.kernel, linear=False)
     empty = s0 <= 0.0
     if np.any(empty):
         raise EmptyWindow(float(eval_times[np.argmax(empty)]))
-    mu = (w @ series.values) / s0[:, None]
+    mu = r0 / s0[:, None]
     return Estimate(eval_times, mu, None, _interior_mask(eval_times, h), h)
 
 

@@ -90,6 +90,8 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
                 if j == 0 or name.startswith("x")]
         arr = arr[:, keep]
         width = len(keep)
+        if width < 2:
+            raise MalformedInput(f"{path}: header names no value column x*")
     if not np.all(np.isfinite(arr)):
         raise MalformedInput(f"{path}: non-finite values")
 

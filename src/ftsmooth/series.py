@@ -18,6 +18,11 @@ class ValueGrid:
     d: int = 1
     m: int = 1
 
+    def __post_init__(self):
+        if self.d < 1 or self.m < 1:
+            raise ValueError(f"value grid needs d, m >= 1, got d={self.d}, "
+                             f"m={self.m}")
+
     @property
     def p(self) -> int:
         return self.d * self.m

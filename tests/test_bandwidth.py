@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftsmooth as ft
 from ftsmooth.bandwidth import (AllBandwidthsInvalid, CvConfig,
                                 bandwidth_grid, cross_validate, fold_indices)
+from ftsmooth.simulation import SimSpec, gen_series, mu1
 
 
 class TestBandwidthGrid:
@@ -88,6 +91,31 @@ class TestCrossValidate:
                 assert report.scores[j] == pytest.approx(expect, abs=1e-12)
             else:
                 assert report.scores[j] == np.inf
+
+    def test_tie_break_independent_of_data_scale(self):
+        # An absolute tie tolerance moved this replicate's choice from
+        # grid index 14 to 5 once the data was scaled by 1e-8.
+        series, _, _ = gen_series(SimSpec(mu1(), "bm", 200, 20, 1, 0), 0)
+        tiny = ft.FunctionalSeries(series.times, series.values * 1e-8,
+                                   series.value_grid)
+        for s in (series, tiny):
+            report = cross_validate(s, CvConfig())
+            assert int(np.argmin(report.scores)) == 14
+            assert report.best_h == report.grid[14]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-10, 6),
+           estimator=st.sampled_from(["ll", "jackknife", "nw"]))
+    def test_choice_invariant_under_data_scale(self, seed, k, estimator):
+        rng = np.random.default_rng(seed)
+        n = 40
+        t = np.arange(n) / n
+        values = np.sin(2 * np.pi * t)[:, None] + rng.normal(size=(n, 2))
+        series = ft.FunctionalSeries.equidistant(values)
+        scaled = ft.FunctionalSeries.equidistant(values * 10.0 ** k)
+        cfg = CvConfig(estimator=estimator)
+        assert (cross_validate(scaled, cfg).best_h
+                == cross_validate(series, cfg).best_h)
 
     def test_determinism(self):
         rng = np.random.default_rng(9)

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from ftsmooth.cli import main
-from ftsmooth.io import read_series_csv, write_series_csv
+from ftsmooth.io import (MalformedInput, read_series_csv,
+                         write_series_csv)
 
 
 @pytest.fixture
@@ -131,6 +132,15 @@ class TestSmooth:
             f.write("t,x0\n0.0,1.0\n0.5,abc\n")
         res = runner.invoke(main, ["smooth", "--input", inp,
                                    "--bandwidth", "0.3"])
+        assert res.exit_code == 3
+
+    def test_header_without_value_columns_exits_3(self, runner, tmp_path):
+        inp = str(tmp_path / "named.csv")
+        with open(inp, "w") as f:
+            f.write("t,a,b\n0.0,1.0,2.0\n0.5,3.0,4.0\n")
+        res = runner.invoke(main, ["smooth", "--input", inp,
+                                   "--bandwidth", "0.3",
+                                   "--out", str(tmp_path / "sm")])
         assert res.exit_code == 3
 
     def test_degenerate_fit_exits_4(self, runner, tmp_path):
@@ -272,3 +282,10 @@ class TestRoundTrip:
         s = read_series_csv(path)
         assert s.value_grid.d == 2 and s.value_grid.m == 3
         assert s.norm == "sup"
+
+    def test_header_dropping_every_value_column_rejected(self, tmp_path):
+        path = str(tmp_path / "named.csv")
+        with open(path, "w") as f:
+            f.write("t,a,b\n0.0,1.0,2.0\n0.5,3.0,4.0\n")
+        with pytest.raises(MalformedInput):
+            read_series_csv(path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ import ftsmooth as ft
 from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
                       jackknife_mean, local_linear, nadaraya_watson,
                       nw_derivative, weight_stats)
+from ftsmooth.bandwidth import CvConfig, cross_validate, fold_indices
 from ftsmooth.estimators import (BandwidthTooSmall, SingularFit,
                                  JACKKNIFE_DERIV_COEF_LARGE,
-                                 JACKKNIFE_DERIV_COEF_SMALL)
+                                 JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL)
 
 K = ft.quartic()
 
@@ -298,3 +301,125 @@ class TestSharedProperties:
         est = local_linear(series, SmoothConfig(0.2), eval_times=grid)
         assert np.array_equal(est.times, grid)
         assert est.mu_hat.shape == (3, 1)
+
+
+def tabulated_quartic():
+    # Nodes at multiples of 1/4 sit on Simpson panel edges, and the
+    # rescaling makes the piecewise linear interpolant integrate to one.
+    grid = np.linspace(-1.0, 1.0, 9)
+    values = 0.9375 * (1.0 - grid ** 2) ** 2
+    values /= np.sum((values[1:] + values[:-1]) / 2 * np.diff(grid))
+    return ft.Kernel("custom", grid=grid, values=values)
+
+
+def dense_fit(train, eval_times, h, estimator):
+    """Mean fit from dense n_eval x n_train kernel sums; None if it fails."""
+    u = (train.times[None, :] - eval_times[:, None]) / h
+    w = K(u)
+    s0, r0 = w.sum(axis=1), w @ train.values
+    if estimator == "nw":
+        return None if np.any(s0 <= 0.0) else r0 / s0[:, None]
+    wu = w * u
+    s1, s2, r1 = wu.sum(axis=1), (wu * u).sum(axis=1), wu @ train.values
+    denom = s0 * s2 - s1 ** 2
+    if (np.any((np.abs(u) <= 1.0).sum(axis=1) < 2)
+            or np.any(denom <= _SINGULAR_RTOL * s0 ** 2)):
+        return None
+    return (s2[:, None] * r0 - s1[:, None] * r1) / denom[:, None]
+
+
+def dense_cv_scores(series, estimator):
+    """Default-config CV scores (k=5, interleaved) from dense_fit."""
+    n = series.n
+    scores = []
+    for h in ft.bandwidth_grid(n):
+        total, count = 0.0, 0
+        for fold in fold_indices(n, 5):
+            train = series.subset(np.setdiff1d(np.arange(n), fold))
+            mu = dense_fit(train, series.times[fold], h, estimator)
+            if mu is None:
+                total = np.inf
+                break
+            total += float(((mu - series.values[fold]) ** 2).sum())
+            count += mu.size
+        scores.append(total / count if np.isfinite(total) else np.inf)
+    return np.array(scores)
+
+
+class TestWindowedSums:
+    """The blocked, windowed kernel sums agree with dense summation."""
+
+    @pytest.mark.parametrize("kernel", [K, tabulated_quartic()],
+                             ids=["quartic", "custom"])
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_matches_pointwise_weight_stats(self, kernel, k):
+        # a CV-style training set (every 5th stamp held out) and h = k/n,
+        # so many stamps sit exactly h away from an evaluation point
+        n = 300
+        rng = np.random.default_rng(k)
+        keep = np.setdiff1d(np.arange(n), np.arange(0, n, 5))
+        series = FunctionalSeries(np.arange(n)[keep] / n,
+                                  rng.normal(size=(keep.size, 3)),
+                                  ft.ValueGrid(1, 3))
+        h = k / n
+        stamps = np.arange(n) / n
+        eval_times = rng.permutation(np.concatenate([
+            [0.0, 1.0 - 1.0 / n], stamps[::3],
+            np.minimum(stamps[::7] + h, 1.0), rng.uniform(0, 1, 40)]))
+        assert np.any(np.diff(eval_times) < 0)
+        cfg = SmoothConfig(h, kernel)
+        ll = local_linear(series, cfg, eval_times)
+        nw = nadaraya_watson(series, cfg, eval_times)
+        for i, t in enumerate(eval_times):
+            ws = weight_stats(series, t, cfg)
+            mu = (ws.S2 * ws.R0 - ws.S1 * ws.R1) / ws.denom
+            dmu = (ws.S0 * ws.R1 - ws.S1 * ws.R0) / (h * ws.denom)
+            assert np.max(np.abs(ll.mu_hat[i] - mu)) <= 1e-10
+            assert np.max(np.abs(ll.dmu_hat[i] - dmu)) * h <= 1e-10
+            assert np.max(np.abs(nw.mu_hat[i] - ws.R0 / ws.S0)) <= 1e-10
+
+    def test_unsorted_errors_name_the_same_point(self):
+        series = equi(np.arange(20.0))
+        # windows at 0.9 and 0.1 hold one stamp each; the first in input
+        # order is reported, as with dense sums
+        eval_times = np.array([0.52, 0.9, 0.13, 0.1])
+        with pytest.raises(BandwidthTooSmall) as exc:
+            local_linear(series, SmoothConfig(0.04), eval_times)
+        assert exc.value.t == 0.9
+        far = FunctionalSeries(np.array([0.0, 0.01]), np.zeros((2, 1)))
+        with pytest.raises(ft.EmptyWindow) as exc:
+            nadaraya_watson(far, SmoothConfig(0.05),
+                            np.array([0.0, 0.9, 0.005, 0.7]))
+        assert exc.value.t == 0.9
+
+    @pytest.mark.parametrize("estimator", ["ll", "nw"])
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_cv_failures_match_dense(self, n, estimator):
+        rng = np.random.default_rng(n)
+        series = FunctionalSeries.equidistant(rng.normal(size=(n, 2)))
+        report = cross_validate(series, CvConfig(estimator=estimator))
+        dense = dense_cv_scores(series, estimator)
+        assert np.array_equal(np.isinf(report.scores), np.isinf(dense))
+        finite = np.isfinite(dense)
+        assert np.any(finite)
+        assert np.allclose(report.scores[finite], dense[finite],
+                           rtol=1e-12, atol=0.0)
+        if estimator == "ll":
+            assert not np.all(finite)
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("fit", [local_linear, jackknife_derivative,
+                                     nadaraya_watson])
+    def test_peak_below_cap_at_n4000(self, fit):
+        # dense n x n kernel sums would peak near 488 MiB here
+        n = 4000
+        series = equi(np.random.default_rng(0).normal(size=(n, 10)))
+        cfg = SmoothConfig(63 / n)
+        tracemalloc.start()
+        try:
+            fit(series, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20

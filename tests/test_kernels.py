@@ -8,6 +8,21 @@ SQRT2 = np.sqrt(2.0)
 
 
 class TestQuarticValues:
+    def test_bitwise_equal_to_masked_formula(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.uniform(-1.5, 1.5, 10 ** 6 - 6),
+                            [-1.0, 1.0, 0.0, -0.0,
+                             np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]])
+        inside = np.abs(x) <= 1.0
+        expect = np.zeros_like(x)
+        expect[inside] = 0.9375 * (1.0 - x[inside] ** 2) ** 2
+        got = K(x)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    def test_non_finite_arguments_weigh_zero(self):
+        assert np.array_equal(K(np.array([np.nan, np.inf, -np.inf])),
+                              np.zeros(3))
+
     def test_mode(self):
         assert K(0.0) == pytest.approx(0.9375, abs=1e-15)
 

@@ -52,6 +52,11 @@ class TestValueGrid:
         pts = ValueGrid(1, 5).spatial_points()
         assert np.array_equal(pts, np.array([0, 0.25, 0.5, 0.75, 1.0]))
 
+    @pytest.mark.parametrize("d, m", [(0, 1), (1, 0), (-1, 3)])
+    def test_empty_layout_rejected(self, d, m):
+        with pytest.raises(ValueError):
+            ValueGrid(d, m)
+
 
 class TestDiscretizedNorm:
     def test_l2(self):
