@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimators import Estimate
 from .series import FunctionalSeries, ValueGrid, discretized_norm
@@ -17,7 +18,7 @@ __all__ = [
 
 
 class ShapeMismatch(ValueError):
-    """Estimate and truth (or series and smoothed) shapes differ."""
+    """Estimate and truth (or series and smoothed) shapes or stamps differ."""
 
 
 class InputTooShort(ValueError):
@@ -59,10 +60,15 @@ def metric_report(est, truth) -> MetricReport:
 
 def residual_norms(series: FunctionalSeries, smoothed: Estimate,
                    norm: str | None = None) -> np.ndarray:
-    """Norm of the residual curve X_i - mu_hat(t_i) at each time stamp."""
+    """Norm of the residual curve X_i - mu_hat(t_i) at each time stamp.
+
+    The smoothed curves must sit on exactly the series' time stamps.
+    """
     if smoothed.mu_hat.shape != series.values.shape:
         raise ShapeMismatch(
             f"series {series.values.shape} vs smoothed {smoothed.mu_hat.shape}")
+    if not np.array_equal(smoothed.times, series.times):
+        raise ShapeMismatch("smoothed time stamps differ from the series'")
     return discretized_norm(series.values - smoothed.mu_hat,
                             norm or series.norm)
 
@@ -129,9 +135,9 @@ def sliding_embed(raw: np.ndarray, stride: int, m: int,
     if n < 1:
         raise InputTooShort(
             f"signal of length {big_n} too short for stride {stride}, m {m}")
-    values = np.empty((n, d * m))
-    for i in range(1, n + 1):
-        window = raw[stride * i - 1:stride * i - 1 + m]
-        values[i - 1] = window.T.reshape(-1)
+    # Window i starts at 0-based sample stride*i - 1; np.array copies the
+    # read-only view, and its (d, m) layout flattens channel-major.
+    windows = sliding_window_view(raw, m, axis=0)[stride - 1::stride][:n]
+    values = np.array(windows).reshape(n, d * m)
     return FunctionalSeries(np.arange(1, n + 1) / n, values,
                             ValueGrid(d, m), norm)

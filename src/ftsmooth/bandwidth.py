@@ -6,22 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (BandwidthTooSmall, EmptyWindow, SingularFit,
-                         SmoothConfig, jackknife_mean, local_linear,
-                         nadaraya_watson)
+from .estimators import ESTIMATORS, FIT_ERRORS, SmoothConfig, fit
 from .kernels import Kernel, quartic
 from .series import FunctionalSeries
 
 __all__ = ["CvConfig", "CvReport", "AllBandwidthsInvalid",
-           "bandwidth_grid", "cross_validate", "ESTIMATORS"]
-
-# Mean fitters selectable for cross-validation.
-ESTIMATORS = {
-    "ll": local_linear,
-    "jackknife": jackknife_mean,
-    "nw": nadaraya_watson,
-}
-
+           "bandwidth_grid", "cross_validate"]
 
 # Relative tie tolerance of CV scores, in units of the data's mean square.
 _TIE_RTOL = 1e-15
@@ -88,7 +78,6 @@ def cross_validate(series: FunctionalSeries, cfg: CvConfig,
         kernel = quartic()
     grid = bandwidth_grid(n, cfg.grid_size)
     folds = fold_indices(n, cfg.k, cfg.fold_scheme)
-    fit = ESTIMATORS[cfg.estimator]
     all_idx = np.arange(n)
     # Each fold's training series is built once and reused across the grid.
     splits = [(series.subset(np.setdiff1d(all_idx, val_idx)),
@@ -102,8 +91,8 @@ def cross_validate(series: FunctionalSeries, cfg: CvConfig,
         count = 0
         for train, val_times, val_values in splits:
             try:
-                est = fit(train, cfg_h, eval_times=val_times)
-            except (SingularFit, BandwidthTooSmall, EmptyWindow):
+                est = fit(cfg.estimator, train, cfg_h, eval_times=val_times)
+            except FIT_ERRORS:
                 total = np.inf
                 break
             resid = est.mu_hat - val_values

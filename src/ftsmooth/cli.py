@@ -11,21 +11,19 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
 
 from . import __version__
 from .analysis import ShapeMismatch, cusum, detect_peaks, residual_norms
-from .bandwidth import (AllBandwidthsInvalid, CvConfig, ESTIMATORS,
-                        cross_validate)
-from .estimators import (BandwidthTooSmall, EmptyWindow, NonEquidistant,
-                         SingularFit, SmoothConfig, jackknife_derivative,
-                         local_linear, nadaraya_watson, nw_derivative)
+from .bandwidth import AllBandwidthsInvalid, CvConfig, cross_validate
+from .estimators import (ESTIMATORS, FIT_ERRORS, Estimate, NonEquidistant,
+                         SmoothConfig, fit)
 from .io import (MalformedInput, read_series_csv, write_json_atomic,
                  write_matrix_csv, write_results_csv, write_series_csv,
                  write_timings_csv)
-from .kernels import quartic
 from .simulation import (ERROR_PROCESSES, MEAN_OPERATORS, SimSpec,
                          monte_carlo)
 
@@ -33,8 +31,7 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
-_NUMERIC_ERRORS = (SingularFit, BandwidthTooSmall, EmptyWindow,
-                   NonEquidistant, AllBandwidthsInvalid)
+_NUMERIC_ERRORS = FIT_ERRORS + (NonEquidistant, AllBandwidthsInvalid)
 
 
 def _threads() -> int:
@@ -74,9 +71,7 @@ def _fail(code: int, exc: BaseException) -> None:
 def _guard(fn):
     try:
         fn()
-    except MalformedInput as exc:
-        _fail(EXIT_INPUT, exc)
-    except ShapeMismatch as exc:
+    except (MalformedInput, ShapeMismatch) as exc:
         _fail(EXIT_INPUT, exc)
     except _NUMERIC_ERRORS as exc:
         _fail(EXIT_NUMERIC, exc)
@@ -86,11 +81,7 @@ def _guard(fn):
 
 def _load_series(path: str, meta: str | None, norm: str | None):
     series = read_series_csv(path, meta)
-    if norm is not None and norm != series.norm:
-        from .series import FunctionalSeries
-        series = FunctionalSeries(series.times, series.values,
-                                  series.value_grid, norm)
-    return series
+    return series if norm is None else replace(series, norm=norm)
 
 
 def _resolve_bandwidth(n: int, bandwidth, bandwidth_frames) -> float:
@@ -100,16 +91,6 @@ def _resolve_bandwidth(n: int, bandwidth, bandwidth_frames) -> float:
     if bandwidth is not None:
         return float(bandwidth)
     return float(bandwidth_frames) / n
-
-
-def _fit(name: str, series, h: float, derivative: bool):
-    cfg = SmoothConfig(h, quartic())
-    if name == "ll":
-        return local_linear(series, cfg)
-    if name == "jackknife":
-        return jackknife_derivative(series, cfg)
-    est = nadaraya_watson(series, cfg)
-    return nw_derivative(est) if derivative else est
 
 
 @click.group()
@@ -127,8 +108,8 @@ def main():
 @click.option("--seed", type=int, default=0)
 @click.option("--k", type=int, default=5, help="cross-validation folds")
 @click.option("--grid-size", type=int, default=20)
-@click.option("--estimators", default="ll,jackknife,nw",
-              help="comma-separated subset of ll,jackknife,nw")
+@click.option("--estimators", default=",".join(ESTIMATORS),
+              help=f"comma-separated subset of {','.join(ESTIMATORS)}")
 @click.option("--out", default="fts_sim", help="output path prefix")
 @click.option("--format", "fmt_", type=click.Choice(["csv", "json"]),
               default="csv")
@@ -176,7 +157,7 @@ def simulate(ctx, **kw):
 @click.option("--input", "input_", type=click.Path(), required=True)
 @click.option("--meta", type=click.Path(), default=None,
               help="sidecar JSON with d, m, norm")
-@click.option("--estimator", type=click.Choice(["ll", "jackknife", "nw"]),
+@click.option("--estimator", type=click.Choice(sorted(ESTIMATORS)),
               default="ll")
 @click.option("--bandwidth", type=float, default=None)
 @click.option("--bandwidth-frames", type=int, default=None,
@@ -194,7 +175,8 @@ def smooth(ctx, **kw):
         series = _load_series(kw["input_"], kw["meta"], None)
         h = _resolve_bandwidth(series.n, kw["bandwidth"],
                                kw["bandwidth_frames"])
-        est = _fit(kw["estimator"], series, h, kw["derivative"])
+        est = fit(kw["estimator"], series, SmoothConfig(h),
+                  derivative=kw["derivative"])
         command = (f"fts smooth --estimator {kw['estimator']}"
                    f" --bandwidth {h:.17g}")
         out = kw["out"]
@@ -212,7 +194,7 @@ def smooth(ctx, **kw):
 @main.command()
 @click.option("--input", "input_", type=click.Path(), required=True)
 @click.option("--meta", type=click.Path(), default=None)
-@click.option("--estimator", type=click.Choice(["ll", "jackknife", "nw"]),
+@click.option("--estimator", type=click.Choice(sorted(ESTIMATORS)),
               default="ll")
 @click.option("--k", type=int, default=5)
 @click.option("--grid-size", type=int, default=20)
@@ -252,7 +234,7 @@ def cv(ctx, **kw):
 @click.option("--meta", type=click.Path(), default=None)
 @click.option("--smoothed", type=click.Path(), default=None,
               help="precomputed smoothed series; omit to smooth in one pass")
-@click.option("--estimator", type=click.Choice(["ll", "jackknife", "nw"]),
+@click.option("--estimator", type=click.Choice(sorted(ESTIMATORS)),
               default="ll")
 @click.option("--bandwidth", type=float, default=None)
 @click.option("--bandwidth-frames", type=int, default=None)
@@ -269,13 +251,12 @@ def analyze(ctx, **kw):
         series = _load_series(kw["input_"], kw["meta"], kw["norm"])
         if kw["smoothed"] is not None:
             sm = read_series_csv(kw["smoothed"])
-            from .estimators import Estimate
             est = Estimate(sm.times, sm.values, None,
                            np.ones(sm.n, dtype=bool), 0.0)
         else:
             h = _resolve_bandwidth(series.n, kw["bandwidth"],
                                    kw["bandwidth_frames"])
-            est = _fit(kw["estimator"], series, h, False)
+            est = fit(kw["estimator"], series, SmoothConfig(h))
         z = residual_norms(series, est)
         cus = cusum(z)
         peaks = detect_peaks(z, kw["threshold_multiplier"])

@@ -5,12 +5,13 @@ squares problem with weights K((t_i - t)/h); the intercept estimates the
 mean and the slope its time derivative. The Jackknife variants combine
 fits at bandwidths h and h/sqrt(2) so the leading bias terms cancel.
 Nadaraya-Watson is the local constant fit, with a finite-difference
-derivative on equidistant grids.
+derivative on equidistant grids. ESTIMATORS names the three, and fit runs
+one by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "SingularFit", "BandwidthTooSmall", "EmptyWindow", "NonEquidistant",
     "weight_stats", "local_linear", "nadaraya_watson", "nw_derivative",
     "jackknife_mean", "jackknife_derivative",
+    "ESTIMATORS", "FIT_ERRORS", "fit",
     "JACKKNIFE_DERIV_COEF_SMALL", "JACKKNIFE_DERIV_COEF_LARGE",
 ]
 
@@ -256,28 +258,42 @@ def nw_derivative(est: Estimate) -> Estimate:
     return Estimate(t, mu, dmu, est.interior_mask, est.bandwidth)
 
 
-def _jackknife_pair(series, cfg, eval_times):
-    small = SmoothConfig(cfg.bandwidth / _SQRT2, cfg.kernel)
-    fit_small = local_linear(series, small, eval_times)
-    fit_large = local_linear(series, cfg, eval_times)
-    return fit_small, fit_large
-
-
 def jackknife_mean(series: FunctionalSeries, cfg: SmoothConfig,
                    eval_times: np.ndarray | None = None) -> Estimate:
     """Bias-reduced mean: 2 * fit(h/sqrt(2)) - fit(h)."""
-    fit_small, fit_large = _jackknife_pair(series, cfg, eval_times)
-    mu = 2.0 * fit_small.mu_hat - fit_large.mu_hat
-    return Estimate(fit_large.times, mu, None,
-                    fit_large.interior_mask, cfg.bandwidth)
+    return replace(jackknife_derivative(series, cfg, eval_times), dmu_hat=None)
 
 
 def jackknife_derivative(series: FunctionalSeries, cfg: SmoothConfig,
                          eval_times: np.ndarray | None = None) -> Estimate:
     """Bias-reduced derivative with weights sqrt(2)/(sqrt(2)-1), 1/(sqrt(2)-1)."""
-    fit_small, fit_large = _jackknife_pair(series, cfg, eval_times)
+    small = SmoothConfig(cfg.bandwidth / _SQRT2, cfg.kernel)
+    fit_small = local_linear(series, small, eval_times)
+    fit_large = local_linear(series, cfg, eval_times)
     dmu = (JACKKNIFE_DERIV_COEF_SMALL * fit_small.dmu_hat
            - JACKKNIFE_DERIV_COEF_LARGE * fit_large.dmu_hat)
     mu = 2.0 * fit_small.mu_hat - fit_large.mu_hat
     return Estimate(fit_large.times, mu, dmu,
                     fit_large.interior_mask, cfg.bandwidth)
+
+
+# The estimators by name, for cross-validation, the simulation and the CLI.
+ESTIMATORS = {"ll": local_linear, "jackknife": jackknife_derivative,
+              "nw": nadaraya_watson}
+
+# A fit raises one of these when the bandwidth is unusable for the data.
+FIT_ERRORS = (SingularFit, BandwidthTooSmall, EmptyWindow)
+
+
+def fit(name: str, series: FunctionalSeries, cfg: SmoothConfig,
+        eval_times: np.ndarray | None = None,
+        derivative: bool = False) -> Estimate:
+    """Fit the estimator registered as name.
+
+    With derivative, an estimate that carries no derivative of its own
+    gets the finite-difference one of nw_derivative.
+    """
+    est = ESTIMATORS[name](series, cfg, eval_times)
+    if derivative and est.dmu_hat is None:
+        est = nw_derivative(est)
+    return est

@@ -17,9 +17,9 @@ import numpy as np
 from . import __version__
 from .series import FunctionalSeries, ValueGrid
 
-__all__ = ["MalformedInput", "fmt", "write_text_atomic",
-           "read_series_csv", "write_series_csv",
-           "write_matrix_csv", "write_results_csv"]
+__all__ = ["MalformedInput", "fmt", "provenance", "write_text_atomic",
+           "write_json_atomic", "read_series_csv", "write_series_csv",
+           "write_matrix_csv", "write_results_csv", "write_timings_csv"]
 
 
 class MalformedInput(ValueError):

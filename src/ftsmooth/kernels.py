@@ -78,8 +78,7 @@ class Kernel:
         """K(x), zero outside [-1, 1]."""
         return self._eval(x)
 
-    def eval(self, x) -> np.ndarray:
-        return self._eval(x)
+    eval = __call__
 
     def eval_star(self, x) -> np.ndarray:
         """The bias-cancelling kernel 2*sqrt(2)*K(sqrt(2)x) - K(x)."""

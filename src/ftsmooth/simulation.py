@@ -17,9 +17,7 @@ import numpy as np
 
 from .analysis import mae, mse
 from .bandwidth import CvConfig, cross_validate
-from .estimators import (BandwidthTooSmall, EmptyWindow, SingularFit,
-                         SmoothConfig, jackknife_derivative, local_linear,
-                         nadaraya_watson, nw_derivative)
+from .estimators import ESTIMATORS, FIT_ERRORS, SmoothConfig, fit
 from .kernels import Kernel, quartic
 from .series import FunctionalSeries, ValueGrid
 
@@ -240,17 +238,6 @@ class ResultsTable:
         raise KeyError((estimator, target))
 
 
-def _fit_with_derivative(name: str, series: FunctionalSeries,
-                         cfg: SmoothConfig):
-    if name == "ll":
-        return local_linear(series, cfg)
-    if name == "jackknife":
-        return jackknife_derivative(series, cfg)
-    if name == "nw":
-        return nw_derivative(nadaraya_watson(series, cfg))
-    raise ValueError(f"unknown estimator {name!r}")
-
-
 def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
              kernel: Kernel):
     series, truth_mu, truth_dmu = gen_series(spec, rep)
@@ -261,10 +248,10 @@ def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
                 series, CvConfig(cv.k, cv.grid_size, name, cv.fold_scheme),
                 kernel)
             t0 = time.perf_counter()
-            est = _fit_with_derivative(name, series,
-                                       SmoothConfig(report.best_h, kernel))
+            est = fit(name, series, SmoothConfig(report.best_h, kernel),
+                      derivative=True)
             fit_ms = (time.perf_counter() - t0) * 1e3
-        except (SingularFit, BandwidthTooSmall, EmptyWindow) as exc:
+        except FIT_ERRORS as exc:
             out[name] = exc
             continue
         out[name] = (mse(est.mu_hat, truth_mu), mae(est.mu_hat, truth_mu),
@@ -273,7 +260,7 @@ def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
     return out
 
 
-def monte_carlo(spec: SimSpec, estimators=("ll", "jackknife", "nw"),
+def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
                 cv: CvConfig | None = None, kernel: Kernel | None = None,
                 threads: int = 0) -> ResultsTable:
     """Replicate, select bandwidths, fit and aggregate errors.

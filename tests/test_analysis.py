@@ -80,6 +80,14 @@ class TestResidualNorms:
             residual_norms(s, _fake_estimate(s, np.zeros((4, 3))))
 
 
+    def test_stamp_mismatch(self):
+        s = FunctionalSeries.equidistant(np.zeros((4, 3)))
+        shifted = Estimate(s.times + 0.1, s.values, None,
+                           np.ones(s.n, dtype=bool), 0.1)
+        with pytest.raises(ShapeMismatch):
+            residual_norms(s, shifted)
+
+
 class TestCusum:
     def test_constant_series_is_flat(self):
         res = cusum(np.full(50, 3.3))
@@ -177,6 +185,18 @@ class TestSlidingEmbed:
     def test_too_short(self):
         with pytest.raises(InputTooShort):
             sliding_embed(np.arange(5.0), stride=5, m=3)
+
+    @pytest.mark.parametrize("big_n,d,stride,m", [
+        (100, 3, 5, 2), (50, 1, 1, 1), (1000, 2, 5, 50), (37, 4, 2, 3)])
+    def test_matches_window_loop(self, big_n, d, stride, m):
+        raw = np.random.default_rng(big_n).normal(size=(big_n, d))
+        n = big_n // stride - (m - 1)
+        expect = np.array([raw[stride * i - 1:stride * i - 1 + m].T.ravel()
+                           for i in range(1, n + 1)])
+        s = sliding_embed(raw, stride, m)
+        assert np.array_equal(s.values, expect)
+        assert s.values.flags.writeable
+        assert not np.shares_memory(s.values, raw)
 
 
 class TestNormHelpers:

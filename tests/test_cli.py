@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from ftsmooth.cli import main
+from ftsmooth.estimators import ESTIMATORS
 from ftsmooth.io import (MalformedInput, read_series_csv,
                          write_series_csv)
 
@@ -116,11 +117,13 @@ class TestSmooth:
         assert res.exit_code == 0, res.output
         assert os.path.exists(out + "_dmu.csv")
 
-    def test_ll_writes_derivative(self, runner, tmp_path):
+    @pytest.mark.parametrize("estimator", ["ll", "jackknife"])
+    def test_ll_writes_derivative(self, runner, tmp_path, estimator):
         inp = str(tmp_path / "in.csv")
         write_input(inp, (1.0 + 3.0 * np.arange(30) / 30)[:, None])
         out = str(tmp_path / "sm")
         res = runner.invoke(main, ["smooth", "--input", inp,
+                                   "--estimator", estimator,
                                    "--bandwidth", "0.3", "--out", out])
         assert res.exit_code == 0, res.output
         d = read_series_csv(out + "_dmu.csv")
@@ -261,6 +264,27 @@ class TestAnalyze:
                                    "--smoothed", smoothed,
                                    "--out", str(tmp_path / "an")])
         assert res.exit_code == 3
+
+
+    def test_smoothed_stamps_must_match_exits_3(self, runner, tmp_path):
+        # Same shape, but the smoothed curves sit on other time stamps.
+        inp = str(tmp_path / "in.csv")
+        write_input(inp, np.random.default_rng(9).normal(size=(20, 2)))
+        smoothed = str(tmp_path / "sm.csv")
+        write_input(smoothed, np.zeros((20, 2)),
+                    times=np.linspace(0.5, 0.99, 20))
+        res = runner.invoke(main, ["analyze", "--input", inp,
+                                   "--smoothed", smoothed,
+                                   "--out", str(tmp_path / "an")])
+        assert res.exit_code == 3
+        assert "time stamps" in res.output
+
+
+@pytest.mark.parametrize("command", ["smooth", "cv", "analyze"])
+def test_estimator_choices_follow_registry(command):
+    option = next(p for p in main.commands[command].params
+                  if p.name == "estimator")
+    assert list(option.type.choices) == sorted(ESTIMATORS)
 
 
 class TestRoundTrip:

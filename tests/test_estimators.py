@@ -8,9 +8,11 @@ from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
                       jackknife_mean, local_linear, nadaraya_watson,
                       nw_derivative, weight_stats)
 from ftsmooth.bandwidth import CvConfig, cross_validate, fold_indices
-from ftsmooth.estimators import (BandwidthTooSmall, SingularFit,
+from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, SingularFit,
                                  JACKKNIFE_DERIV_COEF_LARGE,
-                                 JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL)
+                                 JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
+                                 fit)
+from ftsmooth.simulation import SimSpec, gen_series, mu1
 
 K = ft.quartic()
 
@@ -261,6 +263,34 @@ class TestJackknife:
             jackknife_mean(series, SmoothConfig(0.5),
                            eval_times=np.array([0.5]))
         assert exc.value.bandwidth is not None
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_fit_with_derivative_matches_direct_path(self, name):
+        series = equi(np.random.default_rng(17).normal(size=(80, 3)))
+        cfg = SmoothConfig(0.15)
+        direct = {
+            "ll": lambda: local_linear(series, cfg),
+            "jackknife": lambda: jackknife_derivative(series, cfg),
+            "nw": lambda: nw_derivative(nadaraya_watson(series, cfg)),
+        }[name]()
+        est = fit(name, series, cfg, derivative=True)
+        assert np.array_equal(est.mu_hat, direct.mu_hat)
+        assert np.array_equal(est.dmu_hat, direct.dmu_hat)
+
+    def test_nw_derivative_only_on_request(self):
+        series = equi(np.random.default_rng(18).normal(size=(40, 2)))
+        assert fit("nw", series, SmoothConfig(0.2)).dmu_hat is None
+
+    @pytest.mark.parametrize("h", [0.02, 0.07])
+    def test_jackknife_mean_is_derivative_fit_without_dmu(self, h):
+        series, _, _ = gen_series(SimSpec(mu1(), "bm", 200, 20, 1, 0), 0)
+        cfg = SmoothConfig(h)
+        mean = jackknife_mean(series, cfg)
+        assert mean.dmu_hat is None
+        assert np.array_equal(mean.mu_hat,
+                              jackknife_derivative(series, cfg).mu_hat)
 
 
 class TestSharedProperties:
