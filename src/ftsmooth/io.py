@@ -8,6 +8,7 @@ rerun with identical flags is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -19,7 +20,7 @@ from .series import FunctionalSeries, ValueGrid
 
 __all__ = ["MalformedInput", "fmt", "provenance", "write_text_atomic",
            "write_json_atomic", "read_series_csv", "write_series_csv",
-           "write_matrix_csv", "write_results_csv", "write_timings_csv"]
+           "write_csv"]
 
 
 class MalformedInput(ValueError):
@@ -118,51 +119,29 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
         raise MalformedInput(f"{path}: {exc}")
 
 
-def _csv(header: list[str], rows, command=None, seed=None) -> str:
-    out = [provenance(command, seed), ",".join(header) + "\n"]
-    for row in rows:
-        out.append(",".join(fmt(c) if isinstance(c, float) else str(c)
-                            for c in row) + "\n")
-    return "".join(out)
+# Cell format by numpy dtype kind: floats round-trip at 17 significant
+# digits, bools are written 0/1, anything else as str().
+_CELL = {"f": "{:.17g}", "b": "{:d}"}
+
+
+def write_csv(path: str, columns: dict, command=None, seed=None) -> None:
+    """Write an ordered name -> equal-length column mapping as CSV, one row
+    at a time, in a cell format chosen once per column from its dtype."""
+    cols = [np.asarray(c) for c in columns.values()]
+    row = ",".join(_CELL.get(c.dtype.kind, "{}") for c in cols) + "\n"
+    rows = itertools.starmap(
+        row.format, zip(*(c.tolist() for c in cols), strict=True))
+    write_text_atomic(path, provenance(command, seed) + ",".join(columns)
+                      + "\n" + "".join(rows))
 
 
 def write_series_csv(path: str, times: np.ndarray, values: np.ndarray,
                      command=None, seed=None,
                      extra_cols: dict[str, np.ndarray] | None = None) -> None:
     values = np.atleast_2d(values)
-    header = ["t"] + [f"x{j}" for j in range(values.shape[1])]
-    extra_cols = extra_cols or {}
-    header += list(extra_cols)
-    rows = []
-    for i, t in enumerate(times):
-        row = [float(t)] + [float(v) for v in values[i]]
-        row += [int(col[i]) if np.issubdtype(np.asarray(col).dtype, np.bool_)
-                else float(col[i]) for col in extra_cols.values()]
-        rows.append(row)
-    write_text_atomic(path, _csv(header, rows, command, seed))
-
-
-def write_matrix_csv(path: str, header: list[str], rows,
-                     command=None, seed=None) -> None:
-    write_text_atomic(path, _csv(header, rows, command, seed))
-
-
-def write_results_csv(path: str, table, command=None, seed=None) -> None:
-    # Wall-clock fit times are deliberately left out: simulate result
-    # files must be byte-identical across reruns with the same seed.
-    header = ["estimator", "target", "n", "m", "reps",
-              "mean_mse", "sd_mse", "mean_mae", "sd_mae"]
-    rows = [[r.estimator, r.target, r.n, r.m, r.reps,
-             r.mean_mse, r.sd_mse, r.mean_mae, r.sd_mae]
-            for r in table.rows]
-    write_matrix_csv(path, header, rows, command, seed)
-
-
-def write_timings_csv(path: str, table, command=None, seed=None) -> None:
-    header = ["estimator", "n", "m", "reps", "mean_fit_ms"]
-    rows = [[r.estimator, r.n, r.m, r.reps, r.mean_fit_ms]
-            for r in table.rows if r.target == "mu"]
-    write_matrix_csv(path, header, rows, command, seed)
+    columns = {"t": times}
+    columns.update((f"x{j}", values[:, j]) for j in range(values.shape[1]))
+    write_csv(path, {**columns, **(extra_cols or {})}, command, seed)
 
 
 def write_json_atomic(path: str, obj) -> None:

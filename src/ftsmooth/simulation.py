@@ -23,7 +23,7 @@ from .series import FunctionalSeries, ValueGrid
 
 __all__ = [
     "MeanOperator", "mu1", "mu2", "ERROR_PROCESSES", "SimSpec",
-    "ResultRow", "ResultsTable",
+    "RESULT_FIELDS", "ResultRow", "ResultsTable",
     "sample_bm", "sample_bb", "apply_rho", "gen_errors", "gen_series",
     "monte_carlo",
 ]
@@ -114,22 +114,28 @@ def _rng(master_seed: int, rep: int, stream: int) -> np.random.Generator:
         np.random.SeedSequence([master_seed, rep, stream]))
 
 
-def sample_bm(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Brownian motion on the grid j/(m-1): W(0)=0, unit variance at 1."""
+def _innovations(process: str, count: int, m: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """count Brownian motions on the grid j/(m-1), one per row; Brownian
+    bridges B(t) = W(t) - t W(1) for the bb-based processes."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    inc = rng.standard_normal(m - 1) / np.sqrt(m - 1)
-    out = np.empty(m)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
+    out = np.zeros((count, m))
+    np.cumsum(rng.standard_normal((count, m - 1)) / np.sqrt(m - 1), axis=1,
+              out=out[:, 1:])
+    if process in ("bb", "farbb"):
+        out -= np.arange(m) / (m - 1) * out[:, -1:]
     return out
+
+
+def sample_bm(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Brownian motion on the grid j/(m-1): W(0)=0, unit variance at 1."""
+    return _innovations("bm", 1, m, rng)[0]
 
 
 def sample_bb(m: int, rng: np.random.Generator) -> np.ndarray:
     """Brownian bridge B(t) = W(t) - t W(1) from a fresh motion."""
-    w = sample_bm(m, rng)
-    t = np.arange(m) / (m - 1)
-    return w - t * w[-1]
+    return _innovations("bb", 1, m, rng)[0]
 
 
 def _trapezoid_weights(m: int) -> np.ndarray:
@@ -149,12 +155,6 @@ def apply_rho(f: np.ndarray) -> np.ndarray:
     """Apply the min-kernel integral operator by trapezoidal quadrature."""
     f = np.asarray(f, dtype=float)
     return rho_matrix(f.shape[-1]) @ f
-
-
-def _innovations(process: str, count: int, m: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    sampler = sample_bb if process in ("bb", "farbb") else sample_bm
-    return np.stack([sampler(m, rng) for _ in range(count)])
 
 
 def _sigma(t):
@@ -212,6 +212,12 @@ def gen_series(spec: SimSpec, rep: int):
     return series, truth_mu, truth_dmu
 
 
+# Wall-clock fit times are deliberately left out: simulate result
+# files must be byte-identical across reruns with the same seed.
+RESULT_FIELDS = ("estimator", "target", "n", "m", "reps",
+                 "mean_mse", "sd_mse", "mean_mae", "sd_mae")
+
+
 @dataclass(frozen=True)
 class ResultRow:
     estimator: str
@@ -267,12 +273,19 @@ def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
 
     Results are independent of thread count: every replication draws from
     its own derived seed and the reduction runs in replication order.
+    `estimators` must name distinct keys of ESTIMATORS, at least one.
     """
+    estimators = tuple(estimators)
+    for name in estimators:
+        if name not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {name!r}")
+    if not estimators or len(set(estimators)) < len(estimators):
+        raise ValueError("estimators must be a non-empty selection without "
+                         f"repeats, got {list(estimators)}")
     if cv is None:
         cv = CvConfig()
     if kernel is None:
         kernel = quartic()
-    estimators = tuple(estimators)
 
     def work(rep):
         return _run_rep(spec, rep, estimators, cv, kernel)

@@ -7,8 +7,9 @@ from click.testing import CliRunner
 
 from ftsmooth.cli import main
 from ftsmooth.estimators import ESTIMATORS
-from ftsmooth.io import (MalformedInput, read_series_csv,
-                         write_series_csv)
+from ftsmooth.io import (MalformedInput, fmt, provenance, read_series_csv,
+                         write_csv, write_series_csv)
+from ftsmooth.simulation import RESULT_FIELDS
 
 
 @pytest.fixture
@@ -60,14 +61,33 @@ class TestSimulate:
 
     def test_json_format(self, runner, tmp_path):
         out = str(tmp_path / "run")
-        res = runner.invoke(main, ["simulate", "--mean", "flat",
-                                   "--errors", "none", "--n", "40",
-                                   "--m", "5", "--reps", "1",
-                                   "--grid-size", "5", "--estimators", "nw",
-                                   "--format", "json", "--out", out])
+        args = ["simulate", "--mean", "flat", "--errors", "none", "--n", "40",
+                "--m", "5", "--reps", "1", "--grid-size", "5",
+                "--estimators", "nw", "--out", out]
+        res = runner.invoke(main, args + ["--format", "json"])
         assert res.exit_code == 0, res.output
         data = json.load(open(out + "_results.json"))
         assert {r["target"] for r in data["rows"]} == {"mu", "dmu"}
+        res = runner.invoke(main, args + ["--format", "csv"])
+        assert res.exit_code == 0, res.output
+        lines = open(out + "_results.csv").read().splitlines()
+        assert lines[1].split(",") == list(RESULT_FIELDS)
+        assert len(lines) - 2 == len(data["rows"])
+        for line, row in zip(lines[2:], data["rows"]):
+            assert sorted(row) == sorted(RESULT_FIELDS)
+            cells = dict(zip(RESULT_FIELDS, line.split(",")))
+            assert {k: type(v)(cells[k]) for k, v in row.items()} == row
+
+    @pytest.mark.parametrize("selection", ["ll,ll", ","])
+    def test_bad_estimator_selection_exits_2(self, runner, tmp_path,
+                                             selection):
+        out = str(tmp_path / "run")
+        res = runner.invoke(main, ["simulate", "--n", "20", "--m", "5",
+                                   "--reps", "2", "--estimators", selection,
+                                   "--out", out])
+        assert res.exit_code == 2
+        assert "error: ValueError:" in res.output
+        assert not os.path.exists(out + "_results.csv")
 
     def test_bad_flag_exits_2(self, runner):
         res = runner.invoke(main, ["simulate", "--mean", "mu3"])
@@ -136,6 +156,7 @@ class TestSmooth:
         res = runner.invoke(main, ["smooth", "--input", inp,
                                    "--bandwidth", "0.3"])
         assert res.exit_code == 3
+        assert "error: MalformedInput:" in res.output
 
     def test_header_without_value_columns_exits_3(self, runner, tmp_path):
         inp = str(tmp_path / "named.csv")
@@ -153,6 +174,7 @@ class TestSmooth:
                                    "--bandwidth", "0.001",
                                    "--out", str(tmp_path / "sm")])
         assert res.exit_code == 4
+        assert "error: BandwidthTooSmall:" in res.output
 
     def test_both_bandwidth_flags_rejected(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")
@@ -264,7 +286,7 @@ class TestAnalyze:
                                    "--smoothed", smoothed,
                                    "--out", str(tmp_path / "an")])
         assert res.exit_code == 3
-
+        assert "error: ShapeMismatch:" in res.output
 
     def test_smoothed_stamps_must_match_exits_3(self, runner, tmp_path):
         # Same shape, but the smoothed curves sit on other time stamps.
@@ -313,3 +335,47 @@ class TestRoundTrip:
             f.write("t,a,b\n0.0,1.0,2.0\n0.5,3.0,4.0\n")
         with pytest.raises(MalformedInput):
             read_series_csv(path)
+
+
+def old_csv(header, rows, command=None, seed=None):
+    # The row formula of the former per-table writers: floats at 17
+    # significant digits, everything else through str().
+    out = [provenance(command, seed), ",".join(header) + "\n"]
+    for row in rows:
+        out.append(",".join(fmt(c) if isinstance(c, float) else str(c)
+                            for c in row) + "\n")
+    return "".join(out)
+
+
+class TestWriteCsv:
+    floats = np.array([0.1, -0.0, 5e-324, np.inf, -np.inf, 1 / 3])
+
+    def test_matches_former_row_formula(self, tmp_path):
+        flags = np.array([True, False, False, True, True, False])
+        counts = np.array([0, 7, -3, 10 ** 12, 5, 1])
+        names = ["ll", "jackknife", "nw", "mu", "dmu", "x"]
+        path = str(tmp_path / "t.csv")
+        write_csv(path, {"v": self.floats, "flag": flags, "count": counts,
+                         "name": names}, "cmd", 7)
+        rows = [[float(v), int(f), int(c), s] for v, f, c, s
+                in zip(self.floats, flags, counts, names)]
+        want = old_csv(["v", "flag", "count", "name"], rows, "cmd", 7)
+        assert open(path).read() == want
+
+    def test_series_matches_former_row_formula(self, tmp_path):
+        times = np.arange(6) / 6
+        values = np.column_stack([self.floats, -self.floats[::-1]])
+        mask = np.array([False, True, True, True, True, False])
+        path = str(tmp_path / "s.csv")
+        write_series_csv(path, times, values, "cmd",
+                         extra_cols={"interior_mask": mask})
+        rows = [[float(t), *map(float, v), int(b)]
+                for t, v, b in zip(times, values, mask)]
+        want = old_csv(["t", "x0", "x1", "interior_mask"], rows, "cmd")
+        assert open(path).read() == want
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        path = str(tmp_path / "u.csv")
+        with pytest.raises(ValueError):
+            write_csv(path, {"a": [1.0, 2.0], "b": [1.0]})
+        assert not os.path.exists(path)

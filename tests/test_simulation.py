@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ftsmooth import simulation
 from ftsmooth.bandwidth import CvConfig
 from ftsmooth.simulation import (ERROR_PROCESSES, MeanOperator, SimSpec,
                                  apply_rho, gen_errors, gen_series,
@@ -114,6 +115,28 @@ class TestGenErrors:
         assert np.all(gen_errors("none", 10, 5,
                                  np.random.default_rng(0)) == 0.0)
 
+    @pytest.mark.parametrize("process", ["bm", "bb", "farbm", "farbb",
+                                         "tvbm"])
+    @pytest.mark.parametrize("n, m", [(500, 100), (40, 2), (7, 3)])
+    def test_innovations_match_row_loop(self, monkeypatch, process, n, m):
+        # Reference: one motion per row, drawn in turn from the same stream;
+        # the bridge subtracts t W(1). FAR processes draw n + 51 rows.
+        def loop(process, count, m, rng):
+            rows = []
+            for _ in range(count):
+                w = np.zeros(m)
+                np.cumsum(rng.standard_normal(m - 1) / np.sqrt(m - 1),
+                          out=w[1:])
+                if process in ("bb", "farbb"):
+                    w = w - np.arange(m) / (m - 1) * w[-1]
+                rows.append(w)
+            return np.stack(rows)
+
+        got = gen_errors(process, n, m, np.random.default_rng(21))
+        monkeypatch.setattr(simulation, "_innovations", loop)
+        want = gen_errors(process, n, m, np.random.default_rng(21))
+        assert np.array_equal(got, want)
+
     def test_tvbm_scales_with_time(self):
         n, m = 200, 50
         draws = np.array([gen_errors("tvbm", n, m,
@@ -188,6 +211,12 @@ class TestMonteCarlo:
             for name in ("estimator", "target", "n", "m", "reps",
                          "mean_mse", "sd_mse", "mean_mae", "sd_mae"):
                 assert getattr(a, name) == getattr(b, name)
+
+    @pytest.mark.parametrize("names", [("ll", "ll"), (), ("ll", "lq")])
+    def test_bad_selection_rejected(self, names):
+        spec = SimSpec(mu1(), "bm", 20, 5, 2, 0)
+        with pytest.raises(ValueError):
+            monte_carlo(spec, names, threads=1)
 
     def test_row_structure(self):
         spec = SimSpec(mu2(), "tvfar2", 40, 12, 3, 7)
