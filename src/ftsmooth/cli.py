@@ -35,31 +35,30 @@ _NUMERIC_ERRORS = FIT_ERRORS + (NonEquidistant, AllBandwidthsInvalid)
 
 def _threads() -> int:
     raw = os.environ.get("FTS_THREADS", "0")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        raise click.UsageError(f"FTS_THREADS must be an integer, got {raw!r}")
+    if raw.strip().isdecimal():
+        return int(raw)
+    raise click.UsageError(
+        f"FTS_THREADS must be a non-negative integer, got {raw!r}")
 
 
-def _merge_config(ctx: click.Context, config: str | None, values: dict) -> dict:
-    """Fill parameters from a JSON config file; explicit flags win."""
-    if config is None:
-        return values
+def _load_config(ctx: click.Context, param: click.Parameter, path):
+    """Make the JSON object in `path` the default map, each value as the
+    text of its flag, which click checks like that flag; flags still win."""
+    if path is None:
+        return
     try:
-        with open(config) as f:
-            file_values = json.load(f)
+        with open(path) as f:
+            data = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config {config}: {exc}")
-    unknown = set(file_values) - set(values)
+        raise click.UsageError(f"cannot read config {path}: {exc}")
+    if not isinstance(data, dict):
+        raise click.UsageError(f"config {path} must hold a JSON object")
+    unknown = set(data) - {p.name for p in ctx.command.params} - {param.name}
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(values)
-    for key, val in file_values.items():
-        src = ctx.get_parameter_source(key)
-        if src is not None and src.name != "DEFAULT":
-            continue  # flag given explicitly
-        merged[key] = val
-    return merged
+    if any(isinstance(v, (dict, list)) for v in data.values()):
+        raise click.UsageError(f"config {path}: values must be scalars")
+    ctx.default_map = {k: v if v is None else str(v) for k, v in data.items()}
 
 
 def _fail(code: int, exc: BaseException) -> None:
@@ -97,18 +96,18 @@ def _command(out_default: str, *options):
     """Register the decorated function as a subcommand of `main`.
 
     The command takes `options`, then --out (default `out_default`) and
-    --config; the function gets every flag, with the config file merged
-    in, as keyword arguments and runs under the exit-code guard.
+    --config; the function gets every flag, with defaults from the config
+    file, as keyword arguments and runs under the exit-code guard.
     """
     options += (
         click.option("--out", default=out_default, help="output path prefix"),
-        click.option("--config", type=click.Path(), default=None,
+        click.option("--config", type=click.Path(), callback=_load_config,
+                     is_eager=True, expose_value=False,
                      help="JSON file with defaults for the flags above"))
 
     def register(body):
-        @click.pass_context
-        def command(ctx, config, **kw):
-            _guard(body, _merge_config(ctx, config, kw))
+        def command(**kw):
+            _guard(body, kw)
 
         for option in reversed(options):
             command = option(command)
@@ -118,7 +117,7 @@ def _command(out_default: str, *options):
 
 
 # Option groups shared by several commands.
-_INPUT = (click.option("--input", "input_", type=click.Path(), required=True),
+_INPUT = (click.option("--input", type=click.Path(), required=True),
           click.option("--meta", type=click.Path(), default=None,
                        help="sidecar JSON with d, m, norm"))
 _ESTIMATOR = click.option("--estimator", type=click.Choice(sorted(ESTIMATORS)),
@@ -149,9 +148,9 @@ def _columns(rows, fields) -> dict:
     *_FOLDS,
     click.option("--estimators", default=",".join(ESTIMATORS),
                  help=f"comma-separated subset of {','.join(ESTIMATORS)}"),
-    click.option("--format", "fmt_", type=click.Choice(["csv", "json"]),
+    click.option("--format", type=click.Choice(["csv", "json"]),
                  default="csv"))
-def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, fmt_,
+def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, format,
              out):
     """Monte Carlo benchmark of the smoothers on synthetic data."""
     names = [s.strip() for s in estimators.split(",") if s.strip()]
@@ -162,7 +161,7 @@ def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, fmt_,
                f" --n {n} --m {m} --reps {reps}"
                f" --k {k} --grid-size {grid_size}"
                f" --estimators {','.join(names)}")
-    if fmt_ == "csv":
+    if format == "csv":
         write_csv(out + "_results.csv", _columns(table.rows, RESULT_FIELDS),
                   command, seed)
     else:
@@ -177,16 +176,16 @@ def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, fmt_,
     write_json_atomic(out + "_summary.json", {
         "command": command, "seed": seed, "version": __version__,
         "failed_replications": table.failures})
-    click.echo(f"wrote {out}_results.{fmt_}")
+    click.echo(f"wrote {out}_results.{format}")
 
 
 @_command("fts_smooth", *_INPUT, _ESTIMATOR, *_BANDWIDTH,
           click.option("--derivative", is_flag=True, help="with --estimator "
                        "nw: add the finite-difference derivative"))
-def smooth(input_, meta, estimator, bandwidth, bandwidth_frames, derivative,
+def smooth(input, meta, estimator, bandwidth, bandwidth_frames, derivative,
            out):
     """Smooth a series file with one of the estimators."""
-    series = read_series_csv(input_, meta)
+    series = read_series_csv(input, meta)
     h = _resolve_bandwidth(series.n, bandwidth, bandwidth_frames)
     est = fit(estimator, series, SmoothConfig(h), derivative=derivative)
     command = f"fts smooth --estimator {estimator} --bandwidth {h:.17g}"
@@ -201,9 +200,9 @@ def smooth(input_, meta, estimator, bandwidth, bandwidth_frames, derivative,
           click.option("--fold-scheme",
                        type=click.Choice(["interleaved", "blocks"]),
                        default="interleaved"))
-def cv(input_, meta, estimator, k, grid_size, fold_scheme, out):
+def cv(input, meta, estimator, k, grid_size, fold_scheme, out):
     """Select a bandwidth by k-fold cross-validation."""
-    report = cross_validate(read_series_csv(input_, meta),
+    report = cross_validate(read_series_csv(input, meta),
                             CvConfig(k, grid_size, estimator, fold_scheme))
     command = (f"fts cv --estimator {estimator} --k {k}"
                f" --grid-size {grid_size} --fold-scheme {fold_scheme}")
@@ -225,10 +224,10 @@ def cv(input_, meta, estimator, k, grid_size, fold_scheme, out):
           click.option("--norm", type=click.Choice(["l1", "l2", "sup"]),
                        default=None),
           click.option("--threshold-multiplier", type=float, default=5.0))
-def analyze(input_, meta, smoothed, estimator, bandwidth, bandwidth_frames,
+def analyze(input, meta, smoothed, estimator, bandwidth, bandwidth_frames,
             norm, threshold_multiplier, out):
     """Residual norms, CUSUM localization and peak detection."""
-    series = read_series_csv(input_, meta)
+    series = read_series_csv(input, meta)
     if norm is not None:
         series = replace(series, norm=norm)
     if smoothed is not None:

@@ -105,13 +105,19 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
                 meta = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise MalformedInput(f"cannot read sidecar {meta_path}: {exc}")
+        if not isinstance(meta, dict):
+            raise MalformedInput(f"{meta_path}: not a JSON object")
         unknown = set(meta) - {"d", "m", "norm"}
         if unknown:
             raise MalformedInput(f"{meta_path}: unknown keys {sorted(unknown)}")
+        for key in ("d", "m"):
+            if type(meta.get(key, 0)) is not int:  # bool is an int subclass
+                raise MalformedInput(
+                    f"{meta_path}: {key} must be an integer, got {meta[key]!r}")
 
     p = width - 1
-    d = int(meta.get("d", 1))
-    m = int(meta.get("m", p // max(d, 1)))
+    d = meta.get("d", 1)
+    m = meta.get("m", p // max(d, 1))
     norm = meta.get("norm", "l2")
     try:
         return FunctionalSeries(arr[:, 0], arr[:, 1:], ValueGrid(d, m), norm)

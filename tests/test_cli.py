@@ -89,6 +89,17 @@ class TestSimulate:
         assert "error: ValueError:" in res.output
         assert not os.path.exists(out + "_results.csv")
 
+    @pytest.mark.parametrize("threads", ["-3", "two"])
+    def test_bad_thread_count_exits_2(self, runner, tmp_path, threads):
+        out = str(tmp_path / "run")
+        res = runner.invoke(main, ["simulate", "--n", "20", "--m", "5",
+                                   "--reps", "1", "--estimators", "ll",
+                                   "--out", out],
+                            env=dict(os.environ, FTS_THREADS=threads))
+        assert res.exit_code == 2
+        assert "FTS_THREADS" in res.output
+        assert not os.path.exists(out + "_results.csv")
+
     def test_bad_flag_exits_2(self, runner):
         res = runner.invoke(main, ["simulate", "--mean", "mu3"])
         assert res.exit_code == 2
@@ -158,6 +169,19 @@ class TestSmooth:
         assert res.exit_code == 3
         assert "error: MalformedInput:" in res.output
 
+    @pytest.mark.parametrize("meta", [{"d": "x"}, {"d": None}, {"d": 2.7},
+                                      {"d": True}, 5])
+    def test_bad_sidecar_exits_3(self, runner, tmp_path, meta):
+        inp = str(tmp_path / "in.csv")
+        write_input(inp, np.zeros((20, 2)))
+        json.dump(meta, open(inp + ".meta.json", "w"))
+        out = str(tmp_path / "sm")
+        res = runner.invoke(main, ["smooth", "--input", inp,
+                                   "--bandwidth", "0.3", "--out", out])
+        assert res.exit_code == 3
+        assert "error: MalformedInput:" in res.output
+        assert not os.path.exists(out + "_mu.csv")
+
     def test_header_without_value_columns_exits_3(self, runner, tmp_path):
         inp = str(tmp_path / "named.csv")
         with open(inp, "w") as f:
@@ -218,6 +242,67 @@ class TestCv:
         res = runner.invoke(main, ["cv", "--input", inp,
                                    "--config", cfgfile])
         assert res.exit_code == 2
+
+
+_SIM = {"m": 5, "grid_size": 4, "estimators": "ll"}
+
+
+@pytest.mark.parametrize("args, config, code, written", [
+    (["simulate"], {**_SIM, "mean": "mu9", "n": 20, "reps": 1}, 2, []),
+    (["simulate"], {**_SIM, "n": "abc", "reps": 1}, 2, []),
+    (["simulate"], {**_SIM, "n": 25.5, "reps": 1}, 2, []),
+    (["simulate"], {**_SIM, "n": [20], "reps": 1}, 2, []),
+    (["simulate"], {**_SIM, "reps": True, "n": 20}, 2, []),
+    (["simulate"], {**_SIM, "reps": "2", "n": 20}, 0,
+     ["run_results.csv", "run_summary.json", "run_timings.csv"]),
+    (["simulate"], {**_SIM, "format": "json", "n": 20, "reps": 1}, 0,
+     ["run_results.json", "run_summary.json", "run_timings.csv"]),
+    (["smooth", "--input", "in.csv"],
+     {"estimator": "nw", "bandwidth": 0.2, "derivative": "no"}, 0,
+     ["run_mu.csv"]),
+    (["smooth", "--input", "in.csv"], {"estimator": "zz", "bandwidth": 0.2},
+     2, []),
+    (["smooth"], {"input": "in.csv", "bandwidth": 0.2}, 0,
+     ["run_dmu.csv", "run_mu.csv"]),
+    (["simulate"], 5, 2, []),
+    (["simulate"], None, 2, []),
+])
+def test_config_values_checked_like_flags(runner, tmp_path, monkeypatch,
+                                          args, config, code, written):
+    monkeypatch.chdir(tmp_path)
+    write_input("in.csv", np.random.default_rng(2).normal(size=(40, 2)))
+    json.dump(config, open("cfg.json", "w"))
+    res = runner.invoke(main, [*args, "--config", "cfg.json", "--out", "run"],
+                        env=dict(os.environ, FTS_THREADS="1"))
+    assert res.exit_code == code, res.output
+    assert sorted(f for f in os.listdir() if f.startswith("run")) == written
+    if code == 0 and args == ["simulate"]:
+        command_line = json.load(open("run_summary.json"))["command"]
+        assert f" --reps {config['reps']} " in command_line
+
+
+@pytest.mark.parametrize("command, config, outputs", [
+    ("simulate", {"mean": "mu2", "errors": "farbb", "n": 40, "m": 8,
+                  "reps": 3, "seed": 5, "k": 3, "grid_size": 5,
+                  "estimators": "nw,ll"}, ["_results.csv", "_summary.json"]),
+    ("cv", {"input": "in.csv", "estimator": "nw", "k": 3, "grid_size": 6,
+            "fold_scheme": "interleaved"}, ["_cv.csv", "_cv.json"]),
+])
+def test_config_run_equals_flag_run(runner, tmp_path, monkeypatch, command,
+                                    config, outputs):
+    # Each config key is its flag's name without "--", with "-" as "_".
+    monkeypatch.chdir(tmp_path)
+    write_input("in.csv", np.random.default_rng(3).normal(size=(60, 2)))
+    json.dump(config, open("cfg.json", "w"))
+    flags = [a for key, value in config.items()
+             for a in ("--" + key.replace("_", "-"), str(value))]
+    env = dict(os.environ, FTS_THREADS="1")
+    for args, out in ((["--config", "cfg.json"], "a"), (flags, "b")):
+        res = runner.invoke(main, [command, *args, "--out", out], env=env)
+        assert res.exit_code == 0, res.output
+    for suffix in outputs:
+        with open("a" + suffix, "rb") as a, open("b" + suffix, "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestAnalyze:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftsmooth as ft
 from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
@@ -293,6 +295,23 @@ class TestRegistry:
                               jackknife_derivative(series, cfg).mu_hat)
 
 
+@st.composite
+def fit_cases(draw):
+    """n x p standard normal values, 30 <= n <= 120, 1 <= p <= 5, and a
+    bandwidth in [4/n, 0.5]."""
+    n = draw(st.integers(30, 120))
+    p = draw(st.integers(1, 5))
+    h = draw(st.floats(4 / n, 0.5))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).normal(size=(n, p)), h
+
+
+def signed_power(lo, hi):
+    """+-10^e with the exponent e in [lo, hi]."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e,
+                     st.sampled_from([-1.0, 1.0]), st.floats(lo, hi))
+
+
 class TestSharedProperties:
     @pytest.mark.parametrize("fit", [local_linear, jackknife_mean,
                                      jackknife_derivative, nadaraya_watson])
@@ -307,6 +326,31 @@ class TestSharedProperties:
         assert np.max(np.abs(est2.mu_hat - (2.5 * est.mu_hat + 1.25))) <= 1e-12
         if est.dmu_hat is not None:
             assert np.max(np.abs(est2.dmu_hat - 2.5 * est.dmu_hat)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    @settings(max_examples=25, deadline=None)
+    @given(case=fit_cases(), a=signed_power(-6, 6), b=signed_power(-3, 3))
+    def test_scale_shift_equivariance_property(self, name, case, a, b):
+        values, h = case
+        cfg = SmoothConfig(h)
+        est = fit(name, equi(values), cfg, derivative=True)
+        est2 = fit(name, equi(a * values + b), cfg, derivative=True)
+        tol = 1e-10 * (abs(a) * np.max(np.abs(values)) + abs(b))
+        assert np.max(np.abs(est2.mu_hat - (a * est.mu_hat + b))) <= tol
+        assert np.max(np.abs(est2.dmu_hat - a * est.dmu_hat)) <= tol / h
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    @settings(max_examples=25, deadline=None)
+    @given(case=fit_cases(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_channel_permutation_property(self, name, case, seed):
+        values, h = case
+        perm = np.random.default_rng(seed).permutation(values.shape[1])
+        cfg = SmoothConfig(h)
+        est = fit(name, equi(values), cfg, derivative=True)
+        est2 = fit(name, equi(values[:, perm]), cfg, derivative=True)
+        tol = 1e-10 * np.max(np.abs(values)) / h
+        assert np.max(np.abs(est2.mu_hat - est.mu_hat[:, perm])) <= tol
+        assert np.max(np.abs(est2.dmu_hat - est.dmu_hat[:, perm])) <= tol
 
     def test_nw_ll_proximity_improves_with_n(self):
         # At grid-aligned interior points the window is exactly symmetric
