@@ -26,7 +26,6 @@ class CvConfig:
     k: int = 5
     grid_size: int = 20
     estimator: str = "ll"
-    fold_scheme: str = "interleaved"
 
     def __post_init__(self):
         if self.k < 2:
@@ -35,8 +34,6 @@ class CvConfig:
             raise ValueError("grid_size must be >= 2")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {sorted(ESTIMATORS)}")
-        if self.fold_scheme not in ("interleaved", "blocks"):
-            raise ValueError("fold_scheme must be 'interleaved' or 'blocks'")
 
 
 @dataclass(frozen=True)
@@ -53,12 +50,10 @@ def bandwidth_grid(n: int, grid_size: int = 20) -> np.ndarray:
     return np.geomspace(1.0 / n, 1.0 / np.sqrt(n), grid_size)
 
 
-def fold_indices(n: int, k: int, scheme: str = "interleaved") -> list[np.ndarray]:
-    """Disjoint covering folds with sizes differing by at most one."""
+def fold_indices(n: int, k: int) -> list[np.ndarray]:
+    """Interleaved folds: fold f holds the stamps f, f+k, f+2k, ..."""
     idx = np.arange(n)
-    if scheme == "interleaved":
-        return [idx[f::k] for f in range(k)]
-    return [np.sort(part) for part in np.array_split(idx, k)]
+    return [idx[f::k] for f in range(k)]
 
 
 def cross_validate(series: FunctionalSeries, cfg: CvConfig,
@@ -77,7 +72,7 @@ def cross_validate(series: FunctionalSeries, cfg: CvConfig,
     if kernel is None:
         kernel = quartic()
     grid = bandwidth_grid(n, cfg.grid_size)
-    folds = fold_indices(n, cfg.k, cfg.fold_scheme)
+    folds = fold_indices(n, cfg.k)
     all_idx = np.arange(n)
     # Each fold's training series is built once and reused across the grid.
     splits = [(series.subset(np.setdiff1d(all_idx, val_idx)),

@@ -3,13 +3,13 @@
 Exit codes: 0 ok, 2 bad configuration, 3 malformed input file,
 4 numeric failure (singular fit, no valid bandwidth).
 Flags may also come from a JSON file via --config; explicit flags win.
-FTS_THREADS caps internal parallelism (0 or unset = automatic).
+fts simulate runs its replications serially in replication order, so
+reruns with the same seed write byte-identical result files.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -31,14 +31,6 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 _NUMERIC_ERRORS = FIT_ERRORS + (NonEquidistant, AllBandwidthsInvalid)
-
-
-def _threads() -> int:
-    raw = os.environ.get("FTS_THREADS", "0")
-    if raw.strip().isdecimal():
-        return int(raw)
-    raise click.UsageError(
-        f"FTS_THREADS must be a non-negative integer, got {raw!r}")
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path):
@@ -155,8 +147,7 @@ def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, format,
     """Monte Carlo benchmark of the smoothers on synthetic data."""
     names = [s.strip() for s in estimators.split(",") if s.strip()]
     spec = SimSpec(MEAN_OPERATORS[mean](), errors, n, m, reps, seed)
-    table = monte_carlo(spec, names, CvConfig(k=k, grid_size=grid_size),
-                        threads=_threads())
+    table = monte_carlo(spec, names, CvConfig(k=k, grid_size=grid_size))
     command = (f"fts simulate --mean {mean} --errors {errors}"
                f" --n {n} --m {m} --reps {reps}"
                f" --k {k} --grid-size {grid_size}"
@@ -196,16 +187,12 @@ def smooth(input, meta, estimator, bandwidth, bandwidth_frames, derivative,
     click.echo(f"wrote {out}_mu.csv")
 
 
-@_command("fts_cv", *_INPUT, _ESTIMATOR, *_FOLDS,
-          click.option("--fold-scheme",
-                       type=click.Choice(["interleaved", "blocks"]),
-                       default="interleaved"))
-def cv(input, meta, estimator, k, grid_size, fold_scheme, out):
+@_command("fts_cv", *_INPUT, _ESTIMATOR, *_FOLDS)
+def cv(input, meta, estimator, k, grid_size, out):
     """Select a bandwidth by k-fold cross-validation."""
     report = cross_validate(read_series_csv(input, meta),
-                            CvConfig(k, grid_size, estimator, fold_scheme))
-    command = (f"fts cv --estimator {estimator} --k {k}"
-               f" --grid-size {grid_size} --fold-scheme {fold_scheme}")
+                            CvConfig(k, grid_size, estimator))
+    command = f"fts cv --estimator {estimator} --k {k} --grid-size {grid_size}"
     write_csv(out + "_cv.csv", {"h": report.grid, "score": report.scores},
               command)
     write_json_atomic(out + "_cv.json", {
@@ -234,13 +221,16 @@ def analyze(input, meta, smoothed, estimator, bandwidth, bandwidth_frames,
         sm = read_series_csv(smoothed)
         est = Estimate(sm.times, sm.values, None, np.ones(sm.n, dtype=bool),
                        0.0)
+        command = "fts analyze"
     else:
         h = _resolve_bandwidth(series.n, bandwidth, bandwidth_frames)
         est = fit(estimator, series, SmoothConfig(h))
+        command = f"fts analyze --estimator {estimator} --bandwidth {h:.17g}"
     z = residual_norms(series, est)
     cus = cusum(z)
     peaks = detect_peaks(z, threshold_multiplier)
-    command = f"fts analyze --norm {series.norm}"
+    command += (f" --norm {series.norm}"
+                f" --threshold-multiplier {threshold_multiplier:.17g}")
     write_csv(out + "_residuals.csv", {"t": series.times, "norm": z}, command)
     write_csv(out + "_cusum.csv", {"t": series.times, "cusum": cus.process},
               command)

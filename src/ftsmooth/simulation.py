@@ -10,8 +10,7 @@ fit times.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -250,9 +249,8 @@ def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
     out = {}
     for name in estimators:
         try:
-            report = cross_validate(
-                series, CvConfig(cv.k, cv.grid_size, name, cv.fold_scheme),
-                kernel)
+            report = cross_validate(series, replace(cv, estimator=name),
+                                    kernel)
             t0 = time.perf_counter()
             est = fit(name, series, SmoothConfig(report.best_h, kernel),
                       derivative=True)
@@ -271,9 +269,11 @@ def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
                 threads: int = 0) -> ResultsTable:
     """Replicate, select bandwidths, fit and aggregate errors.
 
-    Results are independent of thread count: every replication draws from
-    its own derived seed and the reduction runs in replication order.
+    Replications run serially in replication order, each drawing from its
+    own derived seed, so reruns with the same seed are bit-identical.
     `estimators` must name distinct keys of ESTIMATORS, at least one.
+    `threads` is ignored; it is kept only because the benchmark harness
+    in `perfbench/` still passes it.
     """
     estimators = tuple(estimators)
     for name in estimators:
@@ -286,16 +286,8 @@ def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
         cv = CvConfig()
     if kernel is None:
         kernel = quartic()
-
-    def work(rep):
-        return _run_rep(spec, rep, estimators, cv, kernel)
-
-    if threads == 1:
-        per_rep = [work(rep) for rep in range(spec.reps)]
-    else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(work, range(spec.reps)))
+    per_rep = [_run_rep(spec, rep, estimators, cv, kernel)
+               for rep in range(spec.reps)]
 
     table = ResultsTable()
     for name in estimators:

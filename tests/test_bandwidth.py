@@ -30,9 +30,8 @@ class TestBandwidthGrid:
 
 
 class TestFolds:
-    @pytest.mark.parametrize("scheme", ["interleaved", "blocks"])
-    def test_partition(self, scheme):
-        folds = fold_indices(23, 5, scheme)
+    def test_partition(self):
+        folds = fold_indices(23, 5)
         merged = np.sort(np.concatenate(folds))
         assert np.array_equal(merged, np.arange(23))
         sizes = [len(f) for f in folds]
@@ -154,5 +153,3 @@ class TestCrossValidate:
             CvConfig(grid_size=1)
         with pytest.raises(ValueError):
             CvConfig(estimator="spline")
-        with pytest.raises(ValueError):
-            CvConfig(fold_scheme="random")

@@ -89,16 +89,20 @@ class TestSimulate:
         assert "error: ValueError:" in res.output
         assert not os.path.exists(out + "_results.csv")
 
-    @pytest.mark.parametrize("threads", ["-3", "two"])
-    def test_bad_thread_count_exits_2(self, runner, tmp_path, threads):
-        out = str(tmp_path / "run")
-        res = runner.invoke(main, ["simulate", "--n", "20", "--m", "5",
-                                   "--reps", "1", "--estimators", "ll",
-                                   "--out", out],
-                            env=dict(os.environ, FTS_THREADS=threads))
-        assert res.exit_code == 2
-        assert "FTS_THREADS" in res.output
-        assert not os.path.exists(out + "_results.csv")
+    def test_fts_threads_is_ignored(self, runner, tmp_path):
+        # Replications run serially: FTS_THREADS is not read, so even a
+        # value that is not a count changes nothing.
+        args = ["simulate", "--n", "20", "--m", "5", "--reps", "2",
+                "--grid-size", "4", "--estimators", "ll,nw"]
+        blobs = []
+        for threads, tag in (("two", "a"), (None, "b")):
+            out = str(tmp_path / tag)
+            res = runner.invoke(main, args + ["--out", out],
+                                env={"FTS_THREADS": threads})
+            assert res.exit_code == 0, res.output
+            blobs.append(open(out + "_results.csv", "rb").read()
+                         + open(out + "_summary.json", "rb").read())
+        assert blobs[0] == blobs[1]
 
     def test_bad_flag_exits_2(self, runner):
         res = runner.invoke(main, ["simulate", "--mean", "mu3"])
@@ -243,6 +247,23 @@ class TestCv:
                                    "--config", cfgfile])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args, config", [
+        (["--fold-scheme", "blocks"], {}),
+        (["--fold-scheme", "interleaved"], {}),
+        (["--config", "cfg.json"], {"fold_scheme": "interleaved"}),
+    ], ids=["flag-blocks", "flag-interleaved", "config-key"])
+    def test_fold_scheme_removed_exits_2(self, runner, tmp_path, monkeypatch,
+                                         args, config):
+        monkeypatch.chdir(tmp_path)
+        write_input("in.csv", np.random.default_rng(4).normal(size=(60, 1)))
+        json.dump(config, open("cfg.json", "w"))
+        res = runner.invoke(main, ["cv", "--input", "in.csv", *args,
+                                   "--out", "cv"])
+        assert res.exit_code == 2
+        unknown_key = "unknown config keys: ['fold_scheme']" in res.output
+        assert unknown_key == bool(config)
+        assert not os.path.exists("cv_cv.json")
+
 
 _SIM = {"m": 5, "grid_size": 4, "estimators": "ll"}
 
@@ -272,8 +293,7 @@ def test_config_values_checked_like_flags(runner, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     write_input("in.csv", np.random.default_rng(2).normal(size=(40, 2)))
     json.dump(config, open("cfg.json", "w"))
-    res = runner.invoke(main, [*args, "--config", "cfg.json", "--out", "run"],
-                        env=dict(os.environ, FTS_THREADS="1"))
+    res = runner.invoke(main, [*args, "--config", "cfg.json", "--out", "run"])
     assert res.exit_code == code, res.output
     assert sorted(f for f in os.listdir() if f.startswith("run")) == written
     if code == 0 and args == ["simulate"]:
@@ -285,8 +305,8 @@ def test_config_values_checked_like_flags(runner, tmp_path, monkeypatch,
     ("simulate", {"mean": "mu2", "errors": "farbb", "n": 40, "m": 8,
                   "reps": 3, "seed": 5, "k": 3, "grid_size": 5,
                   "estimators": "nw,ll"}, ["_results.csv", "_summary.json"]),
-    ("cv", {"input": "in.csv", "estimator": "nw", "k": 3, "grid_size": 6,
-            "fold_scheme": "interleaved"}, ["_cv.csv", "_cv.json"]),
+    ("cv", {"input": "in.csv", "estimator": "nw", "k": 3, "grid_size": 6},
+     ["_cv.csv", "_cv.json"]),
 ])
 def test_config_run_equals_flag_run(runner, tmp_path, monkeypatch, command,
                                     config, outputs):
@@ -296,9 +316,8 @@ def test_config_run_equals_flag_run(runner, tmp_path, monkeypatch, command,
     json.dump(config, open("cfg.json", "w"))
     flags = [a for key, value in config.items()
              for a in ("--" + key.replace("_", "-"), str(value))]
-    env = dict(os.environ, FTS_THREADS="1")
     for args, out in ((["--config", "cfg.json"], "a"), (flags, "b")):
-        res = runner.invoke(main, [command, *args, "--out", out], env=env)
+        res = runner.invoke(main, [command, *args, "--out", out])
         assert res.exit_code == 0, res.output
     for suffix in outputs:
         with open("a" + suffix, "rb") as a, open("b" + suffix, "rb") as b:
@@ -361,6 +380,29 @@ class TestAnalyze:
                                    "--out", out])
         assert res.exit_code == 0, res.output
         assert os.path.exists(out + "_residuals.csv")
+
+    @pytest.mark.parametrize("flags, command", [
+        (["--estimator", "ll", "--bandwidth", "0.05",
+          "--threshold-multiplier", "3"],
+         "fts analyze --estimator ll --bandwidth 0.050000000000000003"
+         " --norm l2 --threshold-multiplier 3"),
+        (["--estimator", "nw", "--bandwidth-frames", "10", "--norm", "sup"],
+         "fts analyze --estimator nw --bandwidth 0.20000000000000001"
+         " --norm sup --threshold-multiplier 5"),
+        (["--smoothed", "sm.csv", "--threshold-multiplier", "2.5"],
+         "fts analyze --norm l2 --threshold-multiplier 2.5"),
+    ], ids=["ll", "nw-frames", "smoothed"])
+    def test_provenance_names_the_run(self, runner, tmp_path, monkeypatch,
+                                      flags, command):
+        monkeypatch.chdir(tmp_path)
+        write_input("in.csv", np.random.default_rng(10).normal(size=(50, 2)))
+        write_input("sm.csv", np.zeros((50, 2)))
+        res = runner.invoke(main, ["analyze", "--input", "in.csv", *flags,
+                                   "--out", "an"])
+        assert res.exit_code == 0, res.output
+        assert json.load(open("an_peaks.json"))["command"] == command
+        for name in ("an_residuals.csv", "an_cusum.csv"):
+            assert open(name).readline() == provenance(command)
 
     def test_shape_mismatch_exits_3(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")

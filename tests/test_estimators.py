@@ -339,6 +339,18 @@ class TestSharedProperties:
         assert np.max(np.abs(est2.mu_hat - (a * est.mu_hat + b))) <= tol
         assert np.max(np.abs(est2.dmu_hat - a * est.dmu_hat)) <= tol / h
 
+    @pytest.mark.parametrize("name", ["ll", "jackknife"])
+    @settings(max_examples=25, deadline=None)
+    @given(case=fit_cases(), slope=signed_power(-3, 3))
+    def test_affine_exactness_property(self, name, case, slope):
+        values, h = case
+        a, b = values[0], slope * values[1]
+        series = affine(values.shape[0], a, b)
+        est = fit(name, series, SmoothConfig(h), derivative=True)
+        tol = 1e-10 * (np.max(np.abs(a)) + np.max(np.abs(b)))
+        assert np.max(np.abs(est.mu_hat - series.values)) <= tol
+        assert np.max(np.abs(est.dmu_hat - b)) <= tol / h
+
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     @settings(max_examples=25, deadline=None)
     @given(case=fit_cases(), seed=st.integers(0, 2 ** 32 - 1))
