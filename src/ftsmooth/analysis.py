@@ -109,6 +109,8 @@ def detect_peaks(z, threshold_multiplier: float = 5.0) -> list[tuple[int, int]]:
     z = np.asarray(z, dtype=float)
     if z.size < 3:
         raise ValueError("need at least 3 observations")
+    if not np.isfinite(threshold_multiplier):
+        raise ValueError("threshold multiplier must be finite")
     med = np.median(z)
     mad = np.median(np.abs(z - med))
     above = np.r_[0, (z > med + threshold_multiplier * mad).astype(int), 0]

@@ -207,13 +207,19 @@ def cv(input, meta, estimator, k, grid_size, out):
           click.option("--smoothed", type=click.Path(), default=None,
                        help="precomputed smoothed series; "
                        "omit to smooth in one pass"),
-          _ESTIMATOR, *_BANDWIDTH,
+          click.option("--estimator", type=click.Choice(sorted(ESTIMATORS)),
+                       default=None, help="(default ll)"),
+          *_BANDWIDTH,
           click.option("--norm", type=click.Choice(["l1", "l2", "sup"]),
                        default=None),
           click.option("--threshold-multiplier", type=float, default=5.0))
 def analyze(input, meta, smoothed, estimator, bandwidth, bandwidth_frames,
             norm, threshold_multiplier, out):
     """Residual norms, CUSUM localization and peak detection."""
+    if smoothed is not None and any(
+            v is not None for v in (estimator, bandwidth, bandwidth_frames)):
+        raise click.UsageError("--smoothed takes no --estimator, --bandwidth "
+                               "or --bandwidth-frames")
     series = read_series_csv(input, meta)
     if norm is not None:
         series = replace(series, norm=norm)
@@ -223,6 +229,7 @@ def analyze(input, meta, smoothed, estimator, bandwidth, bandwidth_frames,
                        0.0)
         command = "fts analyze"
     else:
+        estimator = estimator or "ll"
         h = _resolve_bandwidth(series.n, bandwidth, bandwidth_frames)
         est = fit(estimator, series, SmoothConfig(h))
         command = f"fts analyze --estimator {estimator} --bandwidth {h:.17g}"

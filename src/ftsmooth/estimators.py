@@ -250,12 +250,7 @@ def nw_derivative(est: Estimate) -> Estimate:
     step = steps[0]
     if np.max(np.abs(steps - step)) > 1e-9 * step:
         raise NonEquidistant("time stamps are not equidistant")
-    mu = est.mu_hat
-    dmu = np.empty_like(mu)
-    dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * step)
-    dmu[0] = (mu[1] - mu[0]) / step
-    dmu[-1] = (mu[-1] - mu[-2]) / step
-    return Estimate(t, mu, dmu, est.interior_mask, est.bandwidth)
+    return replace(est, dmu_hat=np.gradient(est.mu_hat, step, axis=0))
 
 
 def jackknife_mean(series: FunctionalSeries, cfg: SmoothConfig,

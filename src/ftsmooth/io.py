@@ -57,41 +57,35 @@ def write_text_atomic(path: str, text: str) -> None:
 def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries:
     """Read a series file: rows are time points, first column the stamp.
 
-    An optional header row `t,x0,x1,...` and comment lines are skipped.
+    Blank lines and lines starting with `#` are ignored. The first other
+    line is a header if its first cell is `t` or `time`; then only the
+    stamp and the `x*` columns are kept. Every further line is a row of
+    decimal or scientific numbers, all of the same width.
     A sidecar JSON (default: <path>.meta.json) may supply d, m and norm.
     """
-    rows = []
-    header = None
     try:
         with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.split(",")
-                if cells[0] in ("t", "time"):
-                    header = cells
-                    continue
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError as exc:
-                    raise MalformedInput(f"{path}: non-numeric cell: {exc}")
+            lines = [s for s in map(str.strip, f) if s and s[0] != "#"]
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
-    if len(rows) < 2:
+    header = None
+    if lines and lines[0].split(",")[0] in ("t", "time"):
+        header = lines.pop(0).split(",")
+    if len(lines) < 2:
         raise MalformedInput(f"{path}: need at least 2 data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or width < 2:
-        raise MalformedInput(f"{path}: rows must all have >= 2 columns")
-    arr = np.array(rows)
+    try:
+        # comments=None: a `#` after data is an error, not a comment.
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise MalformedInput(f"{path}: bad data row: {exc}")
+    if arr.shape[1] < 2:
+        raise MalformedInput(f"{path}: rows need at least 2 columns")
     if header is not None:
-        if len(header) != width:
+        if len(header) != arr.shape[1]:
             raise MalformedInput(f"{path}: header/row width mismatch")
-        keep = [j for j, name in enumerate(header)
-                if j == 0 or name.startswith("x")]
-        arr = arr[:, keep]
-        width = len(keep)
-        if width < 2:
+        arr = arr[:, [j for j, name in enumerate(header)
+                      if j == 0 or name.startswith("x")]]
+        if arr.shape[1] < 2:
             raise MalformedInput(f"{path}: header names no value column x*")
     if not np.all(np.isfinite(arr)):
         raise MalformedInput(f"{path}: non-finite values")
@@ -115,7 +109,7 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
                 raise MalformedInput(
                     f"{meta_path}: {key} must be an integer, got {meta[key]!r}")
 
-    p = width - 1
+    p = arr.shape[1] - 1
     d = meta.get("d", 1)
     m = meta.get("m", p // max(d, 1))
     norm = meta.get("norm", "l2")

@@ -153,6 +153,14 @@ class TestDetectPeaks:
         assert strict == []
         assert any(a <= 30 <= b for a, b in loose)
 
+    @pytest.mark.parametrize("multiplier", [np.nan, np.inf, -np.inf])
+    def test_non_finite_multiplier_rejected(self, multiplier):
+        z = np.abs(np.random.default_rng(9).normal(size=60))
+        with pytest.raises(ValueError, match="must be finite"):
+            detect_peaks(z, threshold_multiplier=multiplier)
+        # A negative finite multiplier is still a threshold below the median.
+        assert detect_peaks(z, threshold_multiplier=-1e9) == [(0, 59)]
+
 
 class TestSlidingEmbed:
     def test_stride_window_labels(self):

@@ -4,6 +4,9 @@ import os
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ftsmooth.cli import main
 from ftsmooth.estimators import ESTIMATORS
@@ -172,6 +175,28 @@ class TestSmooth:
                                    "--bandwidth", "0.3"])
         assert res.exit_code == 3
         assert "error: MalformedInput:" in res.output
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:10] + ["t,x0,foo"] + rows[10:],
+        lambda rows: [rows[1], rows[0]] + rows[2:],
+        lambda rows: rows[:5] + ["0.2,1_0,2"] + rows[6:],
+        lambda rows: rows + ["1,2,3 # note"],
+        lambda rows: rows[:5] + ["0.2,1,2,3"] + rows[6:],
+        lambda rows: rows[:5] + ["0.2,,2"] + rows[6:],
+    ], ids=["repeated-header", "late-header", "underscore-literal",
+            "comment-after-data", "ragged-row", "empty-cell"])
+    def test_malformed_rows_exit_3(self, runner, tmp_path, edit):
+        # rows[0] is the header; every case is otherwise a valid input.
+        rows = ["t,x0,x1"] + [f"{i / 20},{i % 3},{i % 5}" for i in range(20)]
+        inp = str(tmp_path / "in.csv")
+        with open(inp, "w") as f:
+            f.write("\n".join(edit(rows)) + "\n")
+        out = str(tmp_path / "sm")
+        res = runner.invoke(main, ["smooth", "--input", inp,
+                                   "--bandwidth", "0.3", "--out", out])
+        assert res.exit_code == 3, res.output
+        assert "error: MalformedInput:" in res.output
+        assert not os.path.exists(out + "_mu.csv")
 
     @pytest.mark.parametrize("meta", [{"d": "x"}, {"d": None}, {"d": 2.7},
                                       {"d": True}, 5])
@@ -386,12 +411,15 @@ class TestAnalyze:
           "--threshold-multiplier", "3"],
          "fts analyze --estimator ll --bandwidth 0.050000000000000003"
          " --norm l2 --threshold-multiplier 3"),
+        (["--bandwidth", "0.05", "--threshold-multiplier", "3"],
+         "fts analyze --estimator ll --bandwidth 0.050000000000000003"
+         " --norm l2 --threshold-multiplier 3"),
         (["--estimator", "nw", "--bandwidth-frames", "10", "--norm", "sup"],
          "fts analyze --estimator nw --bandwidth 0.20000000000000001"
          " --norm sup --threshold-multiplier 5"),
         (["--smoothed", "sm.csv", "--threshold-multiplier", "2.5"],
          "fts analyze --norm l2 --threshold-multiplier 2.5"),
-    ], ids=["ll", "nw-frames", "smoothed"])
+    ], ids=["ll", "ll-by-default", "nw-frames", "smoothed"])
     def test_provenance_names_the_run(self, runner, tmp_path, monkeypatch,
                                       flags, command):
         monkeypatch.chdir(tmp_path)
@@ -403,6 +431,42 @@ class TestAnalyze:
         assert json.load(open("an_peaks.json"))["command"] == command
         for name in ("an_residuals.csv", "an_cusum.csv"):
             assert open(name).readline() == provenance(command)
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--estimator", "ll"], {}),
+        (["--bandwidth", "0.3"], {}),
+        (["--bandwidth-frames", "7"], {}),
+        ([], {"estimator": "nw"}),
+        ([], {"bandwidth": 0.3}),
+        ([], {"bandwidth_frames": 7}),
+    ], ids=["estimator", "bandwidth", "bandwidth-frames", "config-estimator",
+            "config-bandwidth", "config-bandwidth-frames"])
+    def test_smoothed_refuses_one_pass_flags(self, runner, tmp_path,
+                                             monkeypatch, flags, config):
+        monkeypatch.chdir(tmp_path)
+        write_input("in.csv", np.random.default_rng(11).normal(size=(30, 2)))
+        write_input("sm.csv", np.zeros((30, 2)))
+        json.dump(config, open("cfg.json", "w"))
+        res = runner.invoke(main, ["analyze", "--input", "in.csv",
+                                   "--smoothed", "sm.csv", *flags,
+                                   "--config", "cfg.json", "--out", "an"])
+        assert res.exit_code == 2, res.output
+        assert "--smoothed takes no" in res.output
+        assert not [f for f in os.listdir() if f.startswith("an")]
+
+    @pytest.mark.parametrize("multiplier", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_multiplier_exits_2(self, runner, tmp_path,
+                                                     multiplier):
+        inp = str(tmp_path / "in.csv")
+        write_input(inp, np.random.default_rng(12).normal(size=(60, 2)))
+        out = str(tmp_path / "an")
+        res = runner.invoke(main, ["analyze", "--input", inp,
+                                   "--bandwidth", "0.2",
+                                   "--threshold-multiplier", multiplier,
+                                   "--out", out])
+        assert res.exit_code == 2, res.output
+        assert "error: ValueError: threshold multiplier" in res.output
+        assert not [f for f in os.listdir(tmp_path) if f.startswith("an")]
 
     def test_shape_mismatch_exits_3(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")
@@ -446,6 +510,31 @@ class TestRoundTrip:
         back = read_series_csv(path)
         assert np.array_equal(back.times, times)
         assert np.array_equal(back.values, values)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(2, 40), p=st.integers(1, 6))
+    def test_round_trip_property(self, tmp_path, data, n, p):
+        times = np.sort(data.draw(arrays(
+            float, n, elements=st.floats(0, 1), unique=True)))
+        values = data.draw(arrays(float, (n, p), elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([5e-324, -2.5e-310, 1e300, -1e300, -0.0]))))
+        mask = data.draw(arrays(bool, n))
+        path = str(tmp_path / "series.csv")
+        write_series_csv(path, times, values, command="test",
+                         extra_cols={"interior_mask": mask})
+        # Comment and blank lines anywhere, and CRLF line ends.
+        lines = open(path).read().splitlines()
+        for _ in range(data.draw(st.integers(0, 6))):
+            lines.insert(data.draw(st.integers(0, len(lines))),
+                         data.draw(st.sampled_from(["# note", "", "  ",
+                                                    "#t,x0", "#1,2"])))
+        with open(path, "w", newline="") as f:
+            f.write("\r\n".join(lines) + "\r\n")
+        back = read_series_csv(path)
+        assert back.times.tobytes() == times.tobytes()
+        assert back.values.tobytes() == values.tobytes()
 
     def test_sidecar_metadata(self, tmp_path):
         path = str(tmp_path / "series.csv")
