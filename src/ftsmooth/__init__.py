@@ -4,25 +4,23 @@ __version__ = "0.1.0"
 
 from .kernels import Kernel, quartic
 from .series import FunctionalSeries, ValueGrid
-from .estimators import (SmoothConfig, Estimate, WeightStats, weight_stats,
-                         local_linear, nadaraya_watson, nw_derivative,
-                         jackknife_mean, jackknife_derivative, SingularFit,
-                         BandwidthTooSmall, EmptyWindow, NonEquidistant)
+from .estimators import (SmoothConfig, Estimate, local_linear,
+                         nadaraya_watson, nw_derivative, jackknife_derivative,
+                         SingularFit, BandwidthTooSmall, EmptyWindow,
+                         NonEquidistant)
 from .bandwidth import (CvConfig, CvReport, AllBandwidthsInvalid,
                         bandwidth_grid, cross_validate)
-from .analysis import (mse, mae, metric_report, residual_norms, cusum,
-                       detect_peaks, sliding_embed, CusumResult,
-                       MetricReport, ShapeMismatch, InputTooShort)
+from .analysis import (mse, mae, residual_norms, cusum, detect_peaks,
+                       sliding_embed, CusumResult, ShapeMismatch,
+                       InputTooShort)
 
 __all__ = [
     "Kernel", "quartic", "FunctionalSeries", "ValueGrid",
-    "SmoothConfig", "Estimate", "WeightStats", "weight_stats",
-    "local_linear", "nadaraya_watson", "nw_derivative",
-    "jackknife_mean", "jackknife_derivative",
+    "SmoothConfig", "Estimate", "local_linear", "nadaraya_watson",
+    "nw_derivative", "jackknife_derivative",
     "SingularFit", "BandwidthTooSmall", "EmptyWindow", "NonEquidistant",
     "CvConfig", "CvReport", "AllBandwidthsInvalid",
     "bandwidth_grid", "cross_validate",
-    "mse", "mae", "metric_report", "residual_norms", "cusum",
-    "detect_peaks", "sliding_embed", "CusumResult", "MetricReport",
-    "ShapeMismatch", "InputTooShort",
+    "mse", "mae", "residual_norms", "cusum", "detect_peaks",
+    "sliding_embed", "CusumResult", "ShapeMismatch", "InputTooShort",
 ]

@@ -11,9 +11,8 @@ from .estimators import Estimate
 from .series import FunctionalSeries, ValueGrid, discretized_norm
 
 __all__ = [
-    "MetricReport", "CusumResult", "ShapeMismatch", "InputTooShort",
-    "mse", "mae", "metric_report", "residual_norms", "cusum",
-    "detect_peaks", "sliding_embed",
+    "CusumResult", "ShapeMismatch", "InputTooShort",
+    "mse", "mae", "residual_norms", "cusum", "detect_peaks", "sliding_embed",
 ]
 
 
@@ -23,13 +22,6 @@ class ShapeMismatch(ValueError):
 
 class InputTooShort(ValueError):
     """Raw signal too short for the requested window embedding."""
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    mse: float
-    mae: float
-    per_time: np.ndarray  # squared-norm error at each time stamp
 
 
 def _diff(est, truth) -> np.ndarray:
@@ -49,13 +41,6 @@ def mse(est, truth) -> float:
 def mae(est, truth) -> float:
     """Mean over time of the discretized L1 norm of the error."""
     return float(np.abs(_diff(est, truth)).mean())
-
-
-def metric_report(est, truth) -> MetricReport:
-    d = _diff(est, truth)
-    per_time = (d * d).mean(axis=1)
-    return MetricReport(float(per_time.mean()), float(np.abs(d).mean()),
-                        per_time)
 
 
 def residual_norms(series: FunctionalSeries, smoothed: Estimate,

@@ -171,11 +171,13 @@ def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, format,
 
 
 @_command("fts_smooth", *_INPUT, _ESTIMATOR, *_BANDWIDTH,
-          click.option("--derivative", is_flag=True, help="with --estimator "
-                       "nw: add the finite-difference derivative"))
+          click.option("--derivative", is_flag=True, help="nw only: add the "
+                       "finite-difference derivative"))
 def smooth(input, meta, estimator, bandwidth, bandwidth_frames, derivative,
            out):
     """Smooth a series file with one of the estimators."""
+    if derivative and estimator != "nw":
+        raise click.UsageError("--derivative applies to --estimator nw only")
     series = read_series_csv(input, meta)
     h = _resolve_bandwidth(series.n, bandwidth, bandwidth_frames)
     est = fit(estimator, series, SmoothConfig(h), derivative=derivative)

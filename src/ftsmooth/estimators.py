@@ -2,7 +2,7 @@
 
 Local linear fits solve, at each evaluation point t, the weighted least
 squares problem with weights K((t_i - t)/h); the intercept estimates the
-mean and the slope its time derivative. The Jackknife variants combine
+mean and the slope its time derivative. The Jackknife fit combines
 fits at bandwidths h and h/sqrt(2) so the leading bias terms cancel.
 Nadaraya-Watson is the local constant fit, with a finite-difference
 derivative on equidistant grids. ESTIMATORS names the three, and fit runs
@@ -19,10 +19,10 @@ from .kernels import Kernel, quartic
 from .series import FunctionalSeries
 
 __all__ = [
-    "SmoothConfig", "Estimate", "WeightStats",
+    "SmoothConfig", "Estimate",
     "SingularFit", "BandwidthTooSmall", "EmptyWindow", "NonEquidistant",
-    "weight_stats", "local_linear", "nadaraya_watson", "nw_derivative",
-    "jackknife_mean", "jackknife_derivative",
+    "local_linear", "nadaraya_watson", "nw_derivative",
+    "jackknife_derivative",
     "ESTIMATORS", "FIT_ERRORS", "fit",
     "JACKKNIFE_DERIV_COEF_SMALL", "JACKKNIFE_DERIV_COEF_LARGE",
 ]
@@ -107,30 +107,14 @@ class Estimate:
     bandwidth: float
 
 
-@dataclass(frozen=True)
-class WeightStats:
-    """Kernel-weighted design moments S_l and data moments R_l at one t."""
-
-    S0: float
-    S1: float
-    S2: float
-    S3: float
-    R0: np.ndarray
-    R1: np.ndarray
-
-    @property
-    def denom(self) -> float:
-        return self.S0 * self.S2 - self.S1 ** 2
-
-
 def _kernel_sums(times: np.ndarray, values: np.ndarray,
                  eval_times: np.ndarray, h: float, kernel: Kernel,
                  linear: bool):
     """Unnormalized kernel sums at each eval point, over its window only.
 
     Returns [s0, r0], or [s0, r0, s1, s2, r1, counts] when linear. The
-    1/(nh) factor cancels in every estimator and is applied only by
-    weight_stats. Evaluation points are walked in sorted blocks of _BLOCK;
+    1/(nh) factor cancels in every estimator and is never applied.
+    Evaluation points are walked in sorted blocks of _BLOCK;
     each block sums directly over the contiguous training stamps within
     reach of its span, so memory is O(block x window), not O(n_eval x n).
     """
@@ -168,26 +152,6 @@ def _kernel_sums(times: np.ndarray, values: np.ndarray,
         inverse[order] = np.arange(ne)
         out = [arr[inverse] for arr in out]
     return out
-
-
-def weight_stats(series: FunctionalSeries, t: float,
-                 cfg: SmoothConfig) -> WeightStats:
-    """Normalized kernel moments at a single evaluation point."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must be in [0, 1]")
-    h = cfg.bandwidth
-    u = (series.times - t) / h
-    w = cfg.kernel(u)
-    scale = 1.0 / (series.n * h)
-    wu = w * u
-    return WeightStats(
-        S0=float(w.sum() * scale),
-        S1=float(wu.sum() * scale),
-        S2=float((wu * u).sum() * scale),
-        S3=float((wu * u * u).sum() * scale),
-        R0=(w @ series.values) * scale,
-        R1=(wu @ series.values) * scale,
-    )
 
 
 def _interior_mask(eval_times: np.ndarray, h: float) -> np.ndarray:
@@ -253,15 +217,9 @@ def nw_derivative(est: Estimate) -> Estimate:
     return replace(est, dmu_hat=np.gradient(est.mu_hat, step, axis=0))
 
 
-def jackknife_mean(series: FunctionalSeries, cfg: SmoothConfig,
-                   eval_times: np.ndarray | None = None) -> Estimate:
-    """Bias-reduced mean: 2 * fit(h/sqrt(2)) - fit(h)."""
-    return replace(jackknife_derivative(series, cfg, eval_times), dmu_hat=None)
-
-
 def jackknife_derivative(series: FunctionalSeries, cfg: SmoothConfig,
                          eval_times: np.ndarray | None = None) -> Estimate:
-    """Bias-reduced derivative with weights sqrt(2)/(sqrt(2)-1), 1/(sqrt(2)-1)."""
+    """Bias-reduced mean and derivative from the fits at h and h/sqrt(2)."""
     small = SmoothConfig(cfg.bandwidth / _SQRT2, cfg.kernel)
     fit_small = local_linear(series, small, eval_times)
     fit_large = local_linear(series, cfg, eval_times)

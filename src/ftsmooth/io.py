@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .series import FunctionalSeries, ValueGrid
 
-__all__ = ["MalformedInput", "fmt", "provenance", "write_text_atomic",
+__all__ = ["MalformedInput", "provenance", "write_text_atomic",
            "write_json_atomic", "read_series_csv", "write_series_csv",
            "write_csv"]
 
@@ -27,8 +27,9 @@ class MalformedInput(ValueError):
     """Input file cannot be parsed into a series."""
 
 
-def fmt(x: float) -> str:
-    return f"{x:.17g}"
+# np.loadtxt arguments for data rows; with comments=None a `#` after data
+# is an error, not a comment.
+_ROWS = {"delimiter": ",", "comments": None, "ndmin": 2}
 
 
 def provenance(command: str | None, seed=None) -> str:
@@ -60,24 +61,25 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
     Blank lines and lines starting with `#` are ignored. The first other
     line is a header if its first cell is `t` or `time`; then only the
     stamp and the `x*` columns are kept. Every further line is a row of
-    decimal or scientific numbers, all of the same width.
+    decimal or scientific numbers, all of the same width; a bad one is
+    reported as path:line, counting every line of the file from 1.
     A sidecar JSON (default: <path>.meta.json) may supply d, m and norm.
     """
     try:
         with open(path) as f:
-            lines = [s for s in map(str.strip, f) if s and s[0] != "#"]
+            numbered = [(no, s) for no, s in enumerate(map(str.strip, f), 1)
+                        if s and s[0] != "#"]
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
     header = None
-    if lines and lines[0].split(",")[0] in ("t", "time"):
-        header = lines.pop(0).split(",")
-    if len(lines) < 2:
+    if numbered and numbered[0][1].split(",")[0] in ("t", "time"):
+        header = numbered.pop(0)[1].split(",")
+    if len(numbered) < 2:
         raise MalformedInput(f"{path}: need at least 2 data rows")
     try:
-        # comments=None: a `#` after data is an error, not a comment.
-        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        arr = np.loadtxt([s for _, s in numbered], **_ROWS)
     except ValueError as exc:
-        raise MalformedInput(f"{path}: bad data row: {exc}")
+        raise MalformedInput(_first_bad_row(path, numbered, exc))
     if arr.shape[1] < 2:
         raise MalformedInput(f"{path}: rows need at least 2 columns")
     if header is not None:
@@ -117,6 +119,20 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
         return FunctionalSeries(arr[:, 0], arr[:, 1:], ValueGrid(d, m), norm)
     except ValueError as exc:
         raise MalformedInput(f"{path}: {exc}")
+
+
+def _first_bad_row(path: str, numbered, exc: ValueError) -> str:
+    """Name the first numbered row that fails to parse or changes width."""
+    width = None
+    for no, line in numbered:
+        try:
+            cells = np.loadtxt([line], **_ROWS).shape[1]
+        except ValueError:
+            return f"{path}:{no}: bad data row {line!r}"
+        width = width or cells
+        if cells != width:
+            return f"{path}:{no}: {cells} columns, the first row has {width}"
+    return f"{path}: bad data rows: {exc}"
 
 
 # Cell format by numpy dtype kind: floats round-trip at 17 significant

@@ -27,12 +27,6 @@ class ValueGrid:
     def p(self) -> int:
         return self.d * self.m
 
-    def spatial_points(self) -> np.ndarray:
-        """Grid points j/(m-1), or [0] for scalar values."""
-        if self.m == 1:
-            return np.zeros(1)
-        return np.arange(self.m) / (self.m - 1)
-
 
 @dataclass(frozen=True)
 class FunctionalSeries:

@@ -160,12 +160,12 @@ def _sigma(t):
     return t + 0.5
 
 
-def gen_errors(process: str, n: int, m: int, rng: np.random.Generator,
-               burn_in: int = FAR_BURN_IN) -> np.ndarray:
+def gen_errors(process: str, n: int, m: int,
+               rng: np.random.Generator) -> np.ndarray:
     """n x m matrix of centered error curves.
 
     Autoregressive variants start from a fresh innovation and discard
-    burn_in iterations; time-varying coefficients use the emitted stamp
+    FAR_BURN_IN iterations; time-varying coefficients use the emitted stamp
     i/n, frozen at sigma(1/n) during burn-in.
     """
     if process == "none":
@@ -180,11 +180,11 @@ def gen_errors(process: str, n: int, m: int, rng: np.random.Generator,
     if process not in ("farbm", "farbb", "tvfar1", "tvfar2"):
         raise ValueError(f"unknown error process {process!r}")
     rho = rho_matrix(m)
-    eta = _innovations(process, burn_in + n + 1, m, rng)
+    eta = _innovations(process, FAR_BURN_IN + n + 1, m, rng)
     eps = eta[0]  # start value: a fresh innovation
     out = np.empty((n, m))
-    for step in range(1, burn_in + n + 1):
-        emitted = step - burn_in - 1  # >= 0 once burn-in is over
+    for step in range(1, FAR_BURN_IN + n + 1):
+        emitted = step - FAR_BURN_IN - 1  # >= 0 once burn-in is over
         t = (emitted / n) if emitted >= 0 else (1.0 / n)
         if process in ("farbm", "farbb"):
             eps = rho @ eps + eta[step]

@@ -50,12 +50,10 @@ def test_criterion_1_affine_exactness():
             truth_mu = series.values
             truth_dmu = np.broadcast_to(b, (n, p))
             ll = ft.local_linear(series, cfg)
-            jm = ft.jackknife_mean(series, cfg)
             jd = ft.jackknife_derivative(series, cfg)
             worst = max(worst,
                         np.max(np.abs(ll.mu_hat - truth_mu)),
                         np.max(np.abs(ll.dmu_hat - truth_dmu)),
-                        np.max(np.abs(jm.mu_hat - truth_mu)),
                         np.max(np.abs(jd.mu_hat - truth_mu)),
                         np.max(np.abs(jd.dmu_hat - truth_dmu)))
     elapsed = time.perf_counter() - t0
@@ -97,7 +95,7 @@ def test_criterion_3_bias_constant():
     cfg = ft.SmoothConfig(h, ft.quartic())
     eval_t = np.array([0.5])
     err_ll = abs(ft.local_linear(series, cfg, eval_t).mu_hat[0, 0] - 0.25)
-    err_jk = abs(ft.jackknife_mean(series, cfg, eval_t).mu_hat[0, 0] - 0.25)
+    err_jk = abs(ft.jackknife_derivative(series, cfg, eval_t).mu_hat[0, 0] - 0.25)
     expect = h ** 2 / 7.0
     ok = abs(err_ll - expect) <= 0.1 * expect and err_jk <= err_ll / 10.0
     record(3, "bias constant h^2/7 and its cancellation", ok,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ftsmooth.analysis import (InputTooShort, ShapeMismatch, cusum,
-                               detect_peaks, mae, metric_report, mse,
+                               detect_peaks, mae, mse,
                                residual_norms, sliding_embed)
 from ftsmooth.estimators import Estimate
 from ftsmooth.series import FunctionalSeries, discretized_norm
@@ -32,13 +32,6 @@ class TestMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             mse(np.zeros((3, 2)), np.zeros((3, 3)))
-
-    def test_report_per_time(self):
-        rng = np.random.default_rng(1)
-        est, truth = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        rep = metric_report(est, truth)
-        assert rep.mse == pytest.approx(rep.per_time.mean())
-        assert rep.per_time.shape == (5,)
 
 
 def _fake_estimate(series, mu):

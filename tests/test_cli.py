@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from ftsmooth.cli import main
 from ftsmooth.estimators import ESTIMATORS
-from ftsmooth.io import (MalformedInput, fmt, provenance, read_series_csv,
+from ftsmooth.io import (MalformedInput, provenance, read_series_csv,
                          write_csv, write_series_csv)
 from ftsmooth.simulation import RESULT_FIELDS
 
@@ -166,6 +166,39 @@ class TestSmooth:
         assert res.exit_code == 0, res.output
         d = read_series_csv(out + "_dmu.csv")
         assert np.allclose(d.values, 3.0, atol=1e-9)
+
+    @pytest.mark.parametrize("estimator", ["ll", "jackknife"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_derivative_is_nw_only(self, runner, tmp_path, monkeypatch,
+                                   estimator, source):
+        monkeypatch.chdir(tmp_path)
+        write_input("in.csv", np.random.default_rng(3).normal(size=(60, 1)))
+        json.dump({"derivative": True}, open("cfg.json", "w"))
+        flag = {"flag": ["--derivative"], "config": ["--config", "cfg.json"]}
+        res = runner.invoke(main, ["smooth", "--input", "in.csv",
+                                   "--estimator", estimator,
+                                   "--bandwidth", "0.2", "--out", "sm",
+                                   *flag[source]])
+        assert res.exit_code == 2, res.output
+        assert "--derivative applies to --estimator nw only" in res.output
+        assert not any(f.startswith("sm") for f in os.listdir())
+
+    @pytest.mark.parametrize("text, line", [
+        ("# c\n\nt,x0\n0,1\n0.5,\n", 5),
+        ("t,x0\n0,1\n0.5,1,2\n", 3),
+        ("# c\r\n\r\nt,x0\r\n0,1\r\n0.5,\r\n", 5),
+        ("t,x0\n0,1\n# mid\n\n0.2,1\n0.4,x\n", 6),
+        ("abc,1\n0,1\n", 1),
+    ], ids=["empty-cell", "width-change", "crlf", "comment-between",
+            "first-row"])
+    def test_bad_row_names_file_line(self, runner, tmp_path, text, line):
+        inp = tmp_path / "in.csv"
+        inp.write_bytes(text.encode())
+        res = runner.invoke(main, ["smooth", "--input", str(inp),
+                                   "--bandwidth", "0.3",
+                                   "--out", str(tmp_path / "sm")])
+        assert res.exit_code == 3, res.output
+        assert f"error: MalformedInput: {inp}:{line}: " in res.output
 
     def test_malformed_input_exits_3(self, runner, tmp_path):
         inp = str(tmp_path / "bad.csv")
@@ -558,7 +591,7 @@ def old_csv(header, rows, command=None, seed=None):
     # significant digits, everything else through str().
     out = [provenance(command, seed), ",".join(header) + "\n"]
     for row in rows:
-        out.append(",".join(fmt(c) if isinstance(c, float) else str(c)
+        out.append(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
                             for c in row) + "\n")
     return "".join(out)
 

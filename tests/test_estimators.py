@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 import ftsmooth as ft
 from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
-                      jackknife_mean, local_linear, nadaraya_watson,
-                      nw_derivative, weight_stats)
+                      local_linear, nadaraya_watson, nw_derivative)
 from ftsmooth.bandwidth import CvConfig, cross_validate, fold_indices
 from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, SingularFit,
                                  JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
                                  fit)
-from ftsmooth.simulation import SimSpec, gen_series, mu1
 
 K = ft.quartic()
 
@@ -29,36 +27,6 @@ def affine(n, a, b):
     t = np.arange(n) / n
     return FunctionalSeries(t, a[None, :] + t[:, None] * b[None, :],
                             ft.ValueGrid(1, a.size))
-
-
-class TestWeightStats:
-    def test_constant_series_proportionality(self):
-        series = equi(np.full(50, 3.7))
-        ws = weight_stats(series, 0.5, SmoothConfig(0.2))
-        assert np.allclose(ws.R0, 3.7 * ws.S0, atol=1e-14)
-        assert np.allclose(ws.R1, 3.7 * ws.S1, atol=1e-14)
-
-    def test_small_symmetric_window(self):
-        # n=5 equidistant, h=0.5, t=0.5: u is symmetric, so S1 = 0
-        series = equi(np.arange(5.0))
-        cfg = SmoothConfig(0.5)
-        ws = weight_stats(series, 0.5, cfg)
-        # brute-force oracle
-        u = (series.times - 0.5) / 0.5
-        w = K(u)
-        assert ws.S1 == pytest.approx(float((w * u).sum() / (5 * 0.5)),
-                                      abs=1e-15)
-        assert ws.S1 == pytest.approx(0.0, abs=1e-15)
-
-    def test_riemann_limits(self):
-        series = equi(np.zeros(10000))
-        ws = weight_stats(series, 0.5, SmoothConfig(0.1))
-        assert ws.S0 == pytest.approx(1.0, abs=1e-3)
-        assert ws.S2 == pytest.approx(1.0 / 7.0, abs=1e-3)
-
-    def test_t_out_of_range(self):
-        with pytest.raises(ValueError):
-            weight_stats(equi(np.zeros(10)), 1.5, SmoothConfig(0.2))
 
 
 class TestLocalLinear:
@@ -191,13 +159,13 @@ class TestJackknife:
         rng = np.random.default_rng(11)
         a, b = rng.normal(size=2), rng.normal(size=2)
         series = affine(200, a, b)
-        est = jackknife_mean(series, SmoothConfig(0.2))
+        est = jackknife_derivative(series, SmoothConfig(0.2))
         expect = a[None, :] + series.times[:, None] * b[None, :]
         assert np.max(np.abs(est.mu_hat - expect)) <= 1e-10
 
     def test_mean_constant_exact(self):
         series = equi(np.full(100, 4.2))
-        est = jackknife_mean(series, SmoothConfig(0.2))
+        est = jackknife_derivative(series, SmoothConfig(0.2))
         assert np.max(np.abs(est.mu_hat - 4.2)) <= 1e-12
 
     def test_second_order_bias_cancellation(self):
@@ -206,8 +174,8 @@ class TestJackknife:
         t = np.array([0.5])
         err_ll = abs(local_linear(series, SmoothConfig(h), t).mu_hat[0, 0]
                      - 0.25)
-        err_jk = abs(jackknife_mean(series, SmoothConfig(h), t).mu_hat[0, 0]
-                     - 0.25)
+        jk = jackknife_derivative(series, SmoothConfig(h), t)
+        err_jk = abs(jk.mu_hat[0, 0] - 0.25)
         assert err_jk <= err_ll / 10.0
 
     def test_error_decays_faster_than_h_squared(self):
@@ -220,7 +188,7 @@ class TestJackknife:
 
         def interior_err(values, truth, h):
             series = equi(values)
-            est = jackknife_mean(series, SmoothConfig(h), interior)
+            est = jackknife_derivative(series, SmoothConfig(h), interior)
             return np.max(np.abs(est.mu_hat[:, 0] - truth))
 
         e1 = interior_err(times ** 4, interior ** 4, 0.1)
@@ -262,8 +230,8 @@ class TestJackknife:
         series = FunctionalSeries(np.array([0.0, 0.5, 1.0]),
                                   np.array([[0.0], [1.0], [2.0]]))
         with pytest.raises((SingularFit, BandwidthTooSmall)) as exc:
-            jackknife_mean(series, SmoothConfig(0.5),
-                           eval_times=np.array([0.5]))
+            jackknife_derivative(series, SmoothConfig(0.5),
+                                 eval_times=np.array([0.5]))
         assert exc.value.bandwidth is not None
 
 
@@ -285,15 +253,6 @@ class TestRegistry:
         series = equi(np.random.default_rng(18).normal(size=(40, 2)))
         assert fit("nw", series, SmoothConfig(0.2)).dmu_hat is None
 
-    @pytest.mark.parametrize("h", [0.02, 0.07])
-    def test_jackknife_mean_is_derivative_fit_without_dmu(self, h):
-        series, _, _ = gen_series(SimSpec(mu1(), "bm", 200, 20, 1, 0), 0)
-        cfg = SmoothConfig(h)
-        mean = jackknife_mean(series, cfg)
-        assert mean.dmu_hat is None
-        assert np.array_equal(mean.mu_hat,
-                              jackknife_derivative(series, cfg).mu_hat)
-
 
 @st.composite
 def fit_cases(draw):
@@ -313,8 +272,8 @@ def signed_power(lo, hi):
 
 
 class TestSharedProperties:
-    @pytest.mark.parametrize("fit", [local_linear, jackknife_mean,
-                                     jackknife_derivative, nadaraya_watson])
+    @pytest.mark.parametrize("fit", [local_linear, jackknife_derivative,
+                                     nadaraya_watson])
     def test_shift_scale_equivariance(self, fit):
         rng = np.random.default_rng(13)
         values = rng.normal(size=(120, 3))
@@ -398,20 +357,22 @@ def tabulated_quartic():
     return ft.Kernel("custom", grid=grid, values=values)
 
 
-def dense_fit(train, eval_times, h, estimator):
-    """Mean fit from dense n_eval x n_train kernel sums; None if it fails."""
+def dense_fit(train, eval_times, h, estimator, kernel=K):
+    """Mean and (ll only) slope fits from dense n_eval x n_train kernel
+    sums over every training stamp; None if the fit fails."""
     u = (train.times[None, :] - eval_times[:, None]) / h
-    w = K(u)
+    w = kernel(u)
     s0, r0 = w.sum(axis=1), w @ train.values
     if estimator == "nw":
-        return None if np.any(s0 <= 0.0) else r0 / s0[:, None]
+        return None if np.any(s0 <= 0.0) else (r0 / s0[:, None], None)
     wu = w * u
     s1, s2, r1 = wu.sum(axis=1), (wu * u).sum(axis=1), wu @ train.values
     denom = s0 * s2 - s1 ** 2
     if (np.any((np.abs(u) <= 1.0).sum(axis=1) < 2)
             or np.any(denom <= _SINGULAR_RTOL * s0 ** 2)):
         return None
-    return (s2[:, None] * r0 - s1[:, None] * r1) / denom[:, None]
+    return ((s2[:, None] * r0 - s1[:, None] * r1) / denom[:, None],
+            (s0[:, None] * r1 - s1[:, None] * r0) / (h * denom[:, None]))
 
 
 def dense_cv_scores(series, estimator):
@@ -422,10 +383,11 @@ def dense_cv_scores(series, estimator):
         total, count = 0.0, 0
         for fold in fold_indices(n, 5):
             train = series.subset(np.setdiff1d(np.arange(n), fold))
-            mu = dense_fit(train, series.times[fold], h, estimator)
-            if mu is None:
+            fitted = dense_fit(train, series.times[fold], h, estimator)
+            if fitted is None:
                 total = np.inf
                 break
+            mu = fitted[0]
             total += float(((mu - series.values[fold]) ** 2).sum())
             count += mu.size
         scores.append(total / count if np.isfinite(total) else np.inf)
@@ -456,13 +418,11 @@ class TestWindowedSums:
         cfg = SmoothConfig(h, kernel)
         ll = local_linear(series, cfg, eval_times)
         nw = nadaraya_watson(series, cfg, eval_times)
-        for i, t in enumerate(eval_times):
-            ws = weight_stats(series, t, cfg)
-            mu = (ws.S2 * ws.R0 - ws.S1 * ws.R1) / ws.denom
-            dmu = (ws.S0 * ws.R1 - ws.S1 * ws.R0) / (h * ws.denom)
-            assert np.max(np.abs(ll.mu_hat[i] - mu)) <= 1e-10
-            assert np.max(np.abs(ll.dmu_hat[i] - dmu)) * h <= 1e-10
-            assert np.max(np.abs(nw.mu_hat[i] - ws.R0 / ws.S0)) <= 1e-10
+        mu, dmu = dense_fit(series, eval_times, h, "ll", kernel)
+        nw_mu, _ = dense_fit(series, eval_times, h, "nw", kernel)
+        assert np.max(np.abs(ll.mu_hat - mu)) <= 1e-10
+        assert np.max(np.abs(ll.dmu_hat - dmu)) * h <= 1e-10
+        assert np.max(np.abs(nw.mu_hat - nw_mu)) <= 1e-10
 
     def test_unsorted_errors_name_the_same_point(self):
         series = equi(np.arange(20.0))

@@ -48,10 +48,6 @@ class TestValueGrid:
     def test_flat_dimension(self):
         assert ValueGrid(4, 50).p == 200
 
-    def test_spatial_points(self):
-        pts = ValueGrid(1, 5).spatial_points()
-        assert np.array_equal(pts, np.array([0, 0.25, 0.5, 0.75, 1.0]))
-
     @pytest.mark.parametrize("d, m", [(0, 1), (1, 0), (-1, 3)])
     def test_empty_layout_rejected(self, d, m):
         with pytest.raises(ValueError):
