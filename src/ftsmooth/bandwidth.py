@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ESTIMATORS, FIT_ERRORS, SmoothConfig, fit
+from .estimators import (_REACH_ATOL, _REACH_RTOL, _SQRT2, ESTIMATORS,
+                         _ll_solve, _moment_sums, _nw_solve)
 from .kernels import Kernel, quartic
 from .series import FunctionalSeries
 
@@ -15,6 +16,11 @@ __all__ = ["CvConfig", "CvReport", "AllBandwidthsInvalid",
 
 # Relative tie tolerance of CV scores, in units of the data's mean square.
 _TIE_RTOL = 1e-15
+
+# Bandwidths per group of the CV pass, and the element cap of its work
+# arrays: points are taken in chunks small enough for both.
+_GROUP = 4
+_CHUNK = 1 << 16
 
 
 class AllBandwidthsInvalid(ValueError):
@@ -56,45 +62,63 @@ def fold_indices(n: int, k: int) -> list[np.ndarray]:
     return [idx[f::k] for f in range(k)]
 
 
-def cross_validate(series: FunctionalSeries, cfg: CvConfig,
-                   kernel: Kernel | None = None) -> CvReport:
-    """Score each candidate bandwidth by k-fold validation MSE.
+def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
+    """The grid and each named estimator's CV scores on it, in one pass.
 
-    Each fold is fitted on the training stamps only (windows may cross fold
-    boundaries in time; only the held-out observations are excluded) and
-    scored by squared error at the validation stamps, averaged over stamps,
-    coordinates and folds. A bandwidth that fails on any fold scores +inf.
-    Ties are broken toward the smallest bandwidth.
+    Per fold, the grid is walked in groups of _GROUP bandwidths; each
+    held-out stamp sums over its own W training stamps from its first
+    within the group's largest reach, and each chunk of points is scored
+    at once. ll, nw and the jackknife (2 ll(h/sqrt 2) - ll(h)) share the
+    sums. Groups, windows and chunks depend on the grid and data only, so
+    an estimator's scores do not depend on what else is scored.
     """
-    n = series.n
+    n, p = series.n, series.p
     if cfg.k > n // 4:
         raise ValueError("k must be <= n/4")
-    if kernel is None:
-        kernel = quartic()
+    kernel = kernel or quartic()
     grid = bandwidth_grid(n, cfg.grid_size)
-    folds = fold_indices(n, cfg.k)
-    all_idx = np.arange(n)
-    # Each fold's training series is built once and reused across the grid.
-    splits = [(series.subset(np.setdiff1d(all_idx, val_idx)),
-               series.times[val_idx], series.values[val_idx])
-              for val_idx in folds]
+    jack = "jackknife" in names
+    linear = jack or "ll" in names
+    sse = {name: np.zeros(grid.size) for name in names}  # inf: failed
+    for val in fold_indices(n, cfg.k):
+        t_tr, v_tr = np.delete(series.times, val), np.delete(series.values,
+                                                             val, axis=0)
+        t_val, v_val = series.times[val], series.values[val]
+        for a in range(0, grid.size, _GROUP):
+            hs = grid[a:a + _GROUP, None]
+            reach = hs[-1, 0] * (1.0 + _REACH_RTOL) + _REACH_ATOL
+            lo = np.searchsorted(t_tr, t_val - reach, "left")
+            hi = np.searchsorted(t_tr, t_val + reach, "right")
+            width = max(int(np.max(hi - lo)), 1)
+            # Stamps beyond reach weigh 0; windows may overrun it at either end
+            lo = np.minimum(lo, t_tr.size - width)
+            step = max(_CHUNK // ((width + _GROUP) * (p + _GROUP)), 1)
+            for b in range(0, val.size, step):
+                idx = lo[b:b + step, None] + np.arange(width)
+                d = (t_tr[idx] - t_val[b:b + step, None])[:, None, :]
+                vals, y = v_tr[idx], v_val[b:b + step, None, :]
+                sums = _moment_sums(d / hs, vals, kernel, linear)
+                fits = {}
+                if linear:
+                    mu, _, few, singular = _ll_solve(*sums)
+                    fits["ll"] = mu, few | singular
+                if jack:
+                    small, _, few, singular = _ll_solve(*_moment_sums(
+                        d / (hs / _SQRT2), vals, kernel, True))
+                    with np.errstate(invalid="ignore"):  # inf - inf
+                        fits["jackknife"] = (2.0 * small - mu,
+                                             few | singular | fits["ll"][1])
+                if "nw" in names:
+                    fits["nw"] = _nw_solve(sums[0], sums[1])
+                for name in names:
+                    est, bad = fits[name]
+                    sse[name][a:a + _GROUP] += np.where(
+                        bad.any(axis=0), np.inf, ((est - y) ** 2).sum((0, 2)))
+    return grid, {name: sse[name] / (n * p) for name in names}
 
-    scores = np.zeros(grid.size)
-    for j, h in enumerate(grid):
-        cfg_h = SmoothConfig(h, kernel)
-        total = 0.0
-        count = 0
-        for train, val_times, val_values in splits:
-            try:
-                est = fit(cfg.estimator, train, cfg_h, eval_times=val_times)
-            except FIT_ERRORS:
-                total = np.inf
-                break
-            resid = est.mu_hat - val_values
-            total += float((resid * resid).sum())
-            count += resid.size
-        scores[j] = total / count if np.isfinite(total) else np.inf
 
+def _select(series: FunctionalSeries, grid, scores) -> CvReport:
+    """The report picking the smallest near-minimal bandwidth."""
     if not np.any(np.isfinite(scores)):
         raise AllBandwidthsInvalid(
             "no candidate bandwidth produced a valid fit on all folds")
@@ -104,3 +128,18 @@ def cross_validate(series: FunctionalSeries, cfg: CvConfig,
     tol = _TIE_RTOL * float(np.mean(series.values ** 2))
     best = int(np.argmax(scores <= np.min(scores) + tol))
     return CvReport(grid, scores, float(grid[best]))
+
+
+def cross_validate(series: FunctionalSeries, cfg: CvConfig,
+                   kernel: Kernel | None = None) -> CvReport:
+    """Score each candidate bandwidth by k-fold validation MSE.
+
+    Each fold is fitted on the training stamps only (windows may cross fold
+    boundaries in time; only the held-out observations are excluded) and
+    scored by squared error at the validation stamps, averaged over stamps,
+    coordinates and folds. A bandwidth that fails on any fold scores +inf.
+    Ties are broken toward the smallest bandwidth. The whole grid is
+    scored in one streamed pass per fold, with memory bounded at any n.
+    """
+    grid, scores = _cv_scores(series, cfg, (cfg.estimator,), kernel)
+    return _select(series, grid, scores[cfg.estimator])

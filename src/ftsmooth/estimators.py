@@ -107,13 +107,25 @@ class Estimate:
     bandwidth: float
 
 
+def _moment_sums(u, values, kernel: Kernel, linear: bool):
+    """[s0, r0], or [s0, r0, s1, s2, r1, counts] when linear, summed over
+    the last axis of the scaled offsets u; values holds the stamps' rows."""
+    w = kernel(u)
+    sums = [w.sum(axis=-1), w @ values]
+    if linear:
+        wu = w * u
+        sums += [wu.sum(axis=-1), (wu * u).sum(axis=-1), wu @ values,
+                 np.count_nonzero(np.abs(u) <= 1.0, axis=-1)]
+    return sums
+
+
 def _kernel_sums(times: np.ndarray, values: np.ndarray,
                  eval_times: np.ndarray, h: float, kernel: Kernel,
                  linear: bool):
     """Unnormalized kernel sums at each eval point, over its window only.
 
-    Returns [s0, r0], or [s0, r0, s1, s2, r1, counts] when linear. The
-    1/(nh) factor cancels in every estimator and is never applied.
+    Returns the _moment_sums of each point. The 1/(nh) factor cancels in
+    every estimator and is never applied.
     Evaluation points are walked in sorted blocks of _BLOCK;
     each block sums directly over the contiguous training stamps within
     reach of its span, so memory is O(block x window), not O(n_eval x n).
@@ -123,10 +135,10 @@ def _kernel_sums(times: np.ndarray, values: np.ndarray,
         order = np.argsort(eval_times, kind="stable")
         eval_times = eval_times[order]
     ne, p = eval_times.size, values.shape[1]
-    s0, r0 = np.empty(ne), np.empty((ne, p))
+    out = [np.empty(ne), np.empty((ne, p))]
     if linear:
-        s1, s2, r1 = np.empty(ne), np.empty(ne), np.empty((ne, p))
-        counts = np.empty(ne, dtype=np.intp)
+        out += [np.empty(ne), np.empty(ne), np.empty((ne, p)),
+                np.empty(ne, dtype=np.intp)]
 
     starts = np.arange(0, ne, _BLOCK)
     stops = np.minimum(starts + _BLOCK, ne)
@@ -135,23 +147,31 @@ def _kernel_sums(times: np.ndarray, values: np.ndarray,
     los = np.searchsorted(times, eval_times[starts] - reach, "left")
     his = np.searchsorted(times, eval_times[stops - 1] + reach, "right")
     for a, b, lo, hi in zip(starts, stops, los, his):
-        u = (times[lo:hi] - eval_times[a:b, None]) / h
-        w = kernel(u)
-        s0[a:b] = w.sum(axis=1)
-        r0[a:b] = w @ values[lo:hi]
-        if linear:
-            counts[a:b] = np.count_nonzero(np.abs(u) <= 1.0, axis=1)
-            wu = w * u
-            s1[a:b] = wu.sum(axis=1)
-            s2[a:b] = (wu * u).sum(axis=1)
-            r1[a:b] = wu @ values[lo:hi]
-
-    out = [s0, r0, s1, s2, r1, counts] if linear else [s0, r0]
+        sums = _moment_sums((times[lo:hi] - eval_times[a:b, None]) / h,
+                            values[lo:hi], kernel, linear)
+        for arr, part in zip(out, sums):
+            arr[a:b] = part
     if order is not None:
         inverse = np.empty_like(order)
         inverse[order] = np.arange(ne)
         out = [arr[inverse] for arr in out]
     return out
+
+
+def _ll_solve(s0, r0, s1, s2, r1, counts):
+    """Means, determinants and the failure masks (< 2 stamps, degenerate
+    design) of local linear fits from _moment_sums output of any shape.
+    The fits and CV share it and _nw_solve, so their rules cannot drift."""
+    denom = s0 * s2 - s1 ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = (s2[..., None] * r0 - s1[..., None] * r1) / denom[..., None]
+    return mu, denom, counts < 2, denom <= _SINGULAR_RTOL * s0 ** 2
+
+
+def _nw_solve(s0, r0):
+    """Kernel-weighted means and the mask of empty windows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return r0 / s0[..., None], s0 <= 0.0
 
 
 def _interior_mask(eval_times: np.ndarray, h: float) -> np.ndarray:
@@ -170,18 +190,14 @@ def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
         eval_times = series.times
     eval_times = np.asarray(eval_times, dtype=float)
     h = cfg.bandwidth
-    s0, r0, s1, s2, r1, counts = _kernel_sums(
+    s0, r0, s1, s2, r1, counts = sums = _kernel_sums(
         series.times, series.values, eval_times, h, cfg.kernel, linear=True)
 
-    if np.any(counts < 2):
-        t_bad = float(eval_times[np.argmax(counts < 2)])
-        raise BandwidthTooSmall(t_bad, h)
-    denom = s0 * s2 - s1 ** 2
-    bad = denom <= _SINGULAR_RTOL * s0 ** 2
-    if np.any(bad):
-        raise SingularFit(float(eval_times[np.argmax(bad)]), h)
-
-    mu = (s2[:, None] * r0 - s1[:, None] * r1) / denom[:, None]
+    mu, denom, too_few, singular = _ll_solve(*sums)
+    if np.any(too_few):
+        raise BandwidthTooSmall(float(eval_times[np.argmax(too_few)]), h)
+    if np.any(singular):
+        raise SingularFit(float(eval_times[np.argmax(singular)]), h)
     dmu = (s0[:, None] * r1 - s1[:, None] * r0) / (h * denom[:, None])
     return Estimate(eval_times, mu, dmu, _interior_mask(eval_times, h), h)
 
@@ -195,10 +211,9 @@ def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
     h = cfg.bandwidth
     s0, r0 = _kernel_sums(series.times, series.values, eval_times, h,
                           cfg.kernel, linear=False)
-    empty = s0 <= 0.0
+    mu, empty = _nw_solve(s0, r0)
     if np.any(empty):
         raise EmptyWindow(float(eval_times[np.argmax(empty)]))
-    mu = r0 / s0[:, None]
     return Estimate(eval_times, mu, None, _interior_mask(eval_times, h), h)
 
 

@@ -73,7 +73,8 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
         raise MalformedInput(f"cannot read {path}: {exc}")
     header = None
     if numbered and numbered[0][1].split(",")[0] in ("t", "time"):
-        header = numbered.pop(0)[1].split(",")
+        line, header = numbered.pop(0)
+        header = header.split(",")
     if len(numbered) < 2:
         raise MalformedInput(f"{path}: need at least 2 data rows")
     try:
@@ -84,7 +85,8 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
         raise MalformedInput(f"{path}: rows need at least 2 columns")
     if header is not None:
         if len(header) != arr.shape[1]:
-            raise MalformedInput(f"{path}: header/row width mismatch")
+            raise MalformedInput(f"{path}:{line}: header has {len(header)} "
+                                 f"columns, the rows have {arr.shape[1]}")
         arr = arr[:, [j for j, name in enumerate(header)
                       if j == 0 or name.startswith("x")]]
         if arr.shape[1] < 2:

@@ -10,12 +10,12 @@ fit times.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import mae, mse
-from .bandwidth import CvConfig, cross_validate
+from .bandwidth import AllBandwidthsInvalid, CvConfig, _cv_scores, _select
 from .estimators import ESTIMATORS, FIT_ERRORS, SmoothConfig, fit
 from .kernels import Kernel, quartic
 from .series import FunctionalSeries, ValueGrid
@@ -246,16 +246,16 @@ class ResultsTable:
 def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
              kernel: Kernel):
     series, truth_mu, truth_dmu = gen_series(spec, rep)
+    grid, scores = _cv_scores(series, cv, estimators, kernel)
     out = {}
     for name in estimators:
         try:
-            report = cross_validate(series, replace(cv, estimator=name),
-                                    kernel)
+            report = _select(series, grid, scores[name])
             t0 = time.perf_counter()
             est = fit(name, series, SmoothConfig(report.best_h, kernel),
                       derivative=True)
             fit_ms = (time.perf_counter() - t0) * 1e3
-        except FIT_ERRORS as exc:
+        except FIT_ERRORS + (AllBandwidthsInvalid,) as exc:
             out[name] = exc
             continue
         out[name] = (mse(est.mu_hat, truth_mu), mae(est.mu_hat, truth_mu),
@@ -272,6 +272,8 @@ def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
     Replications run serially in replication order, each drawing from its
     own derived seed, so reruns with the same seed are bit-identical.
     `estimators` must name distinct keys of ESTIMATORS, at least one.
+    A replication whose CV or fit fails for an estimator counts in its
+    `failures`; the error is raised only if no estimator ever succeeds.
     `threads` is ignored; it is kept only because the benchmark harness
     in `perfbench/` still passes it.
     """
@@ -306,4 +308,6 @@ def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
                 sd_mae=float(arr[:, c_mae].std()),
                 mean_fit_ms=float(arr[:, 4].mean()),
             ))
+    if not table.rows:  # nothing to report: raise the first failure
+        raise per_rep[0][estimators[0]]
     return table

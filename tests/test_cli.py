@@ -62,6 +62,26 @@ class TestSimulate:
                          + open(out + "_summary.json", "rb").read())
         assert blobs[0] == blobs[1]
 
+    def test_one_estimators_failed_cv_is_counted_not_fatal(self, runner,
+                                                            tmp_path):
+        # at n=12 the jackknife finds no valid bandwidth in either
+        # replication; ll and nw still report theirs
+        out = str(tmp_path / "run")
+        res = runner.invoke(main, ["simulate", "--n", "12", "--k", "2",
+                                   "--reps", "2", "--out", out])
+        assert res.exit_code == 0, res.output
+        failed = json.load(open(out + "_summary.json"))["failed_replications"]
+        assert failed == {"ll": 0, "jackknife": 2, "nw": 0}
+        rows = open(out + "_results.csv").read().splitlines()[2:]
+        assert {r.split(",")[0] for r in rows} == {"ll", "nw"}
+
+    def test_no_estimator_succeeding_exits_4(self, runner, tmp_path):
+        res = runner.invoke(main, ["simulate", "--n", "12", "--k", "2",
+                                   "--reps", "2", "--estimators", "jackknife",
+                                   "--out", str(tmp_path / "run")])
+        assert res.exit_code == 4, res.output
+        assert "error: AllBandwidthsInvalid:" in res.output
+
     def test_json_format(self, runner, tmp_path):
         out = str(tmp_path / "run")
         args = ["simulate", "--mean", "flat", "--errors", "none", "--n", "40",
@@ -199,6 +219,21 @@ class TestSmooth:
                                    "--out", str(tmp_path / "sm")])
         assert res.exit_code == 3, res.output
         assert f"error: MalformedInput: {inp}:{line}: " in res.output
+
+    @pytest.mark.parametrize("text, line", [
+        ("t,x0,x1\n0,1\n0.5,2\n", 1),
+        ("# c\n\nt,x0,x1\n0,1\n0.5,2\n", 3),
+    ], ids=["first-line", "after-comment"])
+    def test_header_width_names_line_and_widths(self, runner, tmp_path,
+                                                text, line):
+        inp = tmp_path / "hw.csv"
+        inp.write_text(text)
+        res = runner.invoke(main, ["smooth", "--input", str(inp),
+                                   "--bandwidth", "0.3",
+                                   "--out", str(tmp_path / "sm")])
+        assert res.exit_code == 3, res.output
+        assert (f"error: MalformedInput: {inp}:{line}: header has 3 "
+                "columns, the rows have 2") in res.output
 
     def test_malformed_input_exits_3(self, runner, tmp_path):
         inp = str(tmp_path / "bad.csv")

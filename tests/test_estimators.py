@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import ftsmooth as ft
 from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
                       local_linear, nadaraya_watson, nw_derivative)
-from ftsmooth.bandwidth import CvConfig, cross_validate, fold_indices
+from ftsmooth.bandwidth import (CvConfig, _cv_scores, cross_validate,
+                                fold_indices)
 from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, SingularFit,
                                  JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
@@ -376,18 +378,23 @@ def dense_fit(train, eval_times, h, estimator, kernel=K):
 
 
 def dense_cv_scores(series, estimator):
-    """Default-config CV scores (k=5, interleaved) from dense_fit."""
+    """Default-config CV scores (k=5, interleaved) from dense_fit; the
+    jackknife's mean is 2 ll(h/sqrt(2)) - ll(h)."""
     n = series.n
     scores = []
     for h in ft.bandwidth_grid(n):
         total, count = 0.0, 0
         for fold in fold_indices(n, 5):
             train = series.subset(np.setdiff1d(np.arange(n), fold))
-            fitted = dense_fit(train, series.times[fold], h, estimator)
-            if fitted is None:
+            fits = [dense_fit(train, series.times[fold], bw,
+                              "nw" if estimator == "nw" else "ll")
+                    for bw in ((h / np.sqrt(2.0), h)
+                               if estimator == "jackknife" else (h,))]
+            if any(fitted is None for fitted in fits):
                 total = np.inf
                 break
-            mu = fitted[0]
+            mu = (2.0 * fits[0][0] - fits[1][0] if estimator == "jackknife"
+                  else fits[0][0])
             total += float(((mu - series.values[fold]) ** 2).sum())
             count += mu.size
         scores.append(total / count if np.isfinite(total) else np.inf)
@@ -438,7 +445,7 @@ class TestWindowedSums:
                             np.array([0.0, 0.9, 0.005, 0.7]))
         assert exc.value.t == 0.9
 
-    @pytest.mark.parametrize("estimator", ["ll", "nw"])
+    @pytest.mark.parametrize("estimator", ["ll", "jackknife", "nw"])
     @pytest.mark.parametrize("n", [50, 500])
     def test_cv_failures_match_dense(self, n, estimator):
         rng = np.random.default_rng(n)
@@ -450,8 +457,36 @@ class TestWindowedSums:
         assert np.any(finite)
         assert np.allclose(report.scores[finite], dense[finite],
                            rtol=1e-12, atol=0.0)
-        if estimator == "ll":
+        if estimator != "nw":
             assert not np.all(finite)
+
+
+class TestOnePassCv:
+    """Scoring several estimators in one pass changes none of their scores."""
+
+    @pytest.mark.parametrize("case", ["equidistant", "random", "custom",
+                                      "small-chunks"])
+    def test_scores_bitwise_equal_to_single_estimator_cv(self, case,
+                                                          monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 120
+        times = np.arange(n) / n
+        if case == "random":
+            times = np.cumsum(rng.uniform(0.2, 1.8, n)) / (2.0 * n)
+        if case == "small-chunks":  # several chunks of points per fold
+            monkeypatch.setattr(ft.bandwidth, "_CHUNK", 1000)
+        kernel = tabulated_quartic() if case == "custom" else K
+        series = FunctionalSeries(times, rng.normal(size=(n, 3)),
+                                  ft.ValueGrid(1, 3))
+        alone = {name: cross_validate(series, CvConfig(estimator=name),
+                                      kernel).scores
+                 for name in ESTIMATORS}
+        for size in (1, 2, 3):
+            for names in itertools.combinations(ESTIMATORS, size):
+                grid, scores = _cv_scores(series, CvConfig(), names, kernel)
+                assert np.array_equal(grid, ft.bandwidth_grid(n))
+                for name in names:
+                    assert np.array_equal(scores[name], alone[name])
 
 
 class TestBoundedMemory:
@@ -465,6 +500,18 @@ class TestBoundedMemory:
         tracemalloc.start()
         try:
             fit(series, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("n, p", [(4000, 10), (500, 100)])
+    def test_cv_peak_below_cap(self, estimator, n, p):
+        series = equi(np.random.default_rng(1).normal(size=(n, p)))
+        tracemalloc.start()
+        try:
+            cross_validate(series, CvConfig(estimator=estimator))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

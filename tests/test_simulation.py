@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ftsmooth import simulation
-from ftsmooth.bandwidth import CvConfig
-from ftsmooth.simulation import (ERROR_PROCESSES, MeanOperator, SimSpec,
-                                 apply_rho, gen_errors, gen_series,
-                                 monte_carlo, mu1, mu2, rho_matrix,
-                                 sample_bb, sample_bm)
+from ftsmooth.bandwidth import AllBandwidthsInvalid, CvConfig
+from ftsmooth.simulation import (ERROR_PROCESSES, RESULT_FIELDS,
+                                 MeanOperator, SimSpec, apply_rho,
+                                 gen_errors, gen_series, monte_carlo, mu1,
+                                 mu2, rho_matrix, sample_bb, sample_bm)
 
 RHO_SCALE = 0.3 * np.sqrt(6.0)
 
@@ -228,3 +228,22 @@ class TestMonteCarlo:
         assert row.reps == 3 and row.n == 40 and row.m == 12
         assert row.mean_mse >= 0 and row.sd_mse >= 0
         assert table.failures == {"ll": 0}
+
+    def test_failed_cv_counts_for_its_estimator_only(self):
+        spec = SimSpec(mu1(), "bm", 12, 100, 2, 0)
+        cv = CvConfig(k=2)
+        table = monte_carlo(spec, cv=cv)
+        assert table.failures == {"ll": 0, "jackknife": 2, "nw": 0}
+        assert {r.estimator for r in table.rows} == {"ll", "nw"}
+        with pytest.raises(AllBandwidthsInvalid):
+            monte_carlo(spec, ("jackknife",), cv)
+
+    def test_one_estimator_alone_matches_its_rows_in_the_full_run(self):
+        spec = SimSpec(mu2(), "farbm", 60, 8, 3, 5)
+        full = monte_carlo(spec)
+        alone = monte_carlo(spec, ("nw",))
+        assert alone.failures == {"nw": full.failures["nw"]}
+        for target in ("mu", "dmu"):
+            a, b = alone.row("nw", target), full.row("nw", target)
+            for name in RESULT_FIELDS:
+                assert getattr(a, name) == getattr(b, name)
