@@ -91,8 +91,6 @@ def read_series_csv(path: str, meta_path: str | None = None) -> FunctionalSeries
                       if j == 0 or name.startswith("x")]]
         if arr.shape[1] < 2:
             raise MalformedInput(f"{path}: header names no value column x*")
-    if not np.all(np.isfinite(arr)):
-        raise MalformedInput(f"{path}: non-finite values")
 
     meta = {}
     if meta_path is None and os.path.exists(path + ".meta.json"):

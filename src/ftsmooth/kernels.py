@@ -36,8 +36,9 @@ class Kernel:
 
     Either the built-in quartic kernel or a user-supplied tabulation on a
     symmetric grid, evaluated by linear interpolation. Tabulated kernels
-    are validated (support, symmetry, sign, normalization), never rescaled:
-    a kernel that does not integrate to one is a user error worth surfacing.
+    are validated (finiteness, support, symmetry, sign, normalization) and
+    never rescaled: a kernel that does not integrate to one is a user error
+    worth surfacing.
     """
 
     def __init__(self, shape: str = "quartic",
@@ -52,6 +53,8 @@ class Kernel:
             values = np.asarray(values, dtype=float)
             if grid.ndim != 1 or grid.shape != values.shape or grid.size < 3:
                 raise ValueError("grid and values must be equal-length 1d arrays")
+            if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+                raise ValueError("kernel grid and values must be finite")
             if not np.all(np.diff(grid) > 0):
                 raise ValueError("grid must be strictly increasing")
             if grid[0] < -1.0 - 1e-12 or grid[-1] > 1.0 + 1e-12:

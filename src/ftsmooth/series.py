@@ -48,14 +48,14 @@ class FunctionalSeries:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or times.size < 1:
             raise ValueError("times must be a non-empty 1d array")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("times and values must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if times[0] < 0.0 or times[-1] > 1.0:
             raise ValueError("times must lie in [0, 1]")
         if values.shape[0] != times.size:
             raise ValueError("values must have one row per time stamp")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
         if self.value_grid.p != values.shape[1]:
             raise ValueError(
                 f"value_grid implies P={self.value_grid.p}, "
@@ -80,12 +80,6 @@ class FunctionalSeries:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-    def subset(self, idx) -> "FunctionalSeries":
-        """Sub-series at the given (sorted) indices; times keep their stamps."""
-        idx = np.asarray(idx)
-        return FunctionalSeries(self.times[idx], self.values[idx],
-                                self.value_grid, self.norm)
 
 
 def discretized_norm(rows: np.ndarray, norm: str) -> np.ndarray:

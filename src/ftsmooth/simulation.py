@@ -107,10 +107,10 @@ class SimSpec:
             raise ValueError("reps must be >= 1")
 
 
-def _rng(master_seed: int, rep: int, stream: int) -> np.random.Generator:
-    """Counter-based derived stream: order- and parallelism-independent."""
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, rep, stream]))
+def _rng(master_seed: int, rep: int) -> np.random.Generator:
+    """Counter-based derived stream: order- and parallelism-independent.
+    The trailing 0 is part of every seed; dropping it changes every draw."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, rep, 0]))
 
 
 def _innovations(process: str, count: int, m: int,
@@ -181,19 +181,16 @@ def gen_errors(process: str, n: int, m: int,
         raise ValueError(f"unknown error process {process!r}")
     rho = rho_matrix(m)
     eta = _innovations(process, FAR_BURN_IN + n + 1, m, rng)
+    # eps <- a (rho eps) + b eta: a and b are 1 or sigma, and 1.0 * x is exact.
+    sigma = _sigma(np.r_[np.full(FAR_BURN_IN, 1.0 / n), np.arange(n) / n])
+    a = sigma if process == "tvfar2" else np.ones_like(sigma)
+    b = sigma if process == "tvfar1" else np.ones_like(sigma)
     eps = eta[0]  # start value: a fresh innovation
     out = np.empty((n, m))
-    for step in range(1, FAR_BURN_IN + n + 1):
-        emitted = step - FAR_BURN_IN - 1  # >= 0 once burn-in is over
-        t = (emitted / n) if emitted >= 0 else (1.0 / n)
-        if process in ("farbm", "farbb"):
-            eps = rho @ eps + eta[step]
-        elif process == "tvfar1":
-            eps = rho @ eps + _sigma(t) * eta[step]
-        else:  # tvfar2
-            eps = _sigma(t) * (rho @ eps) + eta[step]
-        if emitted >= 0:
-            out[emitted] = eps
+    for s in range(FAR_BURN_IN + n):
+        eps = a[s] * (rho @ eps) + b[s] * eta[s + 1]
+        if s >= FAR_BURN_IN:
+            out[s - FAR_BURN_IN] = eps
     return out
 
 
@@ -205,7 +202,7 @@ def gen_series(spec: SimSpec, rep: int):
     x = np.arange(spec.m) / (spec.m - 1)
     truth_mu, truth_dmu = spec.mean.on_grid(times, x)
     errors = gen_errors(spec.errors, spec.n, spec.m,
-                        _rng(spec.master_seed, rep, 0))
+                        _rng(spec.master_seed, rep))
     series = FunctionalSeries(times, truth_mu + errors,
                               ValueGrid(1, spec.m), "l2")
     return series, truth_mu, truth_dmu

@@ -76,8 +76,10 @@ class TestCrossValidate:
             total, count = 0.0, 0
             try:
                 for fold in (np.arange(0, n, 2), np.arange(1, n, 2)):
-                    train_idx = np.setdiff1d(np.arange(n), fold)
-                    train = series.subset(train_idx)
+                    idx = np.setdiff1d(np.arange(n), fold)
+                    train = ft.FunctionalSeries(series.times[idx],
+                                                series.values[idx],
+                                                series.value_grid)
                     est = ft.local_linear(train, ft.SmoothConfig(h, kernel),
                                           eval_times=series.times[fold])
                     total += float(((est.mu_hat

@@ -266,6 +266,21 @@ class TestSmooth:
         assert "error: MalformedInput:" in res.output
         assert not os.path.exists(out + "_mu.csv")
 
+    @pytest.mark.parametrize("row", ["nan,1,2", "0.25,inf,2", "0.25,1,1e400"],
+                             ids=["nan-stamp", "inf-value", "overflow"])
+    def test_non_finite_cells_exit_3(self, runner, tmp_path, row):
+        rows = ["t,x0,x1"] + [f"{i / 20},{i % 3},{i % 5}" for i in range(20)]
+        rows[6] = row
+        inp = str(tmp_path / "in.csv")
+        with open(inp, "w") as f:
+            f.write("\n".join(rows) + "\n")
+        out = str(tmp_path / "sm")
+        res = runner.invoke(main, ["smooth", "--input", inp,
+                                   "--bandwidth", "0.3", "--out", out])
+        assert res.exit_code == 3, res.output
+        assert "error: MalformedInput:" in res.output
+        assert os.listdir(tmp_path) == ["in.csv"]
+
     @pytest.mark.parametrize("meta", [{"d": "x"}, {"d": None}, {"d": 2.7},
                                       {"d": True}, 5])
     def test_bad_sidecar_exits_3(self, runner, tmp_path, meta):

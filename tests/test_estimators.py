@@ -385,7 +385,9 @@ def dense_cv_scores(series, estimator):
     for h in ft.bandwidth_grid(n):
         total, count = 0.0, 0
         for fold in fold_indices(n, 5):
-            train = series.subset(np.setdiff1d(np.arange(n), fold))
+            idx = np.setdiff1d(np.arange(n), fold)
+            train = ft.FunctionalSeries(series.times[idx], series.values[idx],
+                                        series.value_grid)
             fits = [dense_fit(train, series.times[fold], bw,
                               "nw" if estimator == "nw" else "ll")
                     for bw in ((h / np.sqrt(2.0), h)

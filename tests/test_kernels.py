@@ -132,6 +132,18 @@ class TestCustomKernel:
         with pytest.raises(ValueError, match="symmetric"):
             Kernel("custom", grid=grid, values=np.clip(vals, 0, None))
 
+    @pytest.mark.parametrize("where, bad", [("values", np.nan),
+                                            ("values", np.inf),
+                                            ("grid", np.nan)])
+    def test_non_finite_rejected(self, where, bad):
+        # A NaN value fails no comparison-based check: moment(0) is NaN and
+        # fits would return NaN means without an error.
+        grid = np.linspace(-1, 1, 101)
+        arrays = {"grid": grid, "values": 1.0 - np.abs(grid)}
+        arrays[where][40] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Kernel("custom", **arrays)
+
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
             Kernel("gaussian")

@@ -26,6 +26,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             FunctionalSeries(np.array([0.0, 0.5]),
                              np.array([[1.0], [np.nan]]))
+        # A NaN stamp slips past the order and [0, 1] checks, whose
+        # comparisons are all false; each bad stamp must hit the finite rule.
+        for stamps in ([0.0, np.nan, 0.8], [0.0, 0.5, np.inf],
+                       [-np.inf, 0.5, 0.8]):
+            with pytest.raises(ValueError, match="finite"):
+                FunctionalSeries(np.array(stamps), np.zeros((3, 1)))
 
     def test_grid_dimension_mismatch(self):
         with pytest.raises(ValueError, match="P="):
@@ -36,12 +42,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="norm"):
             FunctionalSeries(np.array([0.0, 0.5]), np.zeros((2, 1)),
                              norm="l3")
-
-    def test_subset_keeps_stamps(self):
-        s = FunctionalSeries.equidistant(np.arange(10.0)[:, None])
-        sub = s.subset([1, 4, 7])
-        assert np.array_equal(sub.times, np.array([1, 4, 7]) / 10)
-        assert np.array_equal(sub.values[:, 0], [1.0, 4.0, 7.0])
 
 
 class TestValueGrid:

@@ -137,6 +137,36 @@ class TestGenErrors:
         want = gen_errors(process, n, m, np.random.default_rng(21))
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("process", ["farbm", "farbb", "tvfar1",
+                                         "tvfar2"])
+    @pytest.mark.parametrize("n, m", [(7, 3), (40, 2), (200, 30)])
+    def test_far_recurrence_matches_step_loop(self, process, n, m):
+        # Reference: decide the process at every step; sigma at the
+        # emitted stamp i/n, frozen at sigma(1/n) during burn-in.
+        def loop(process, n, m, rng):
+            rho = rho_matrix(m)
+            burn = simulation.FAR_BURN_IN
+            eta = simulation._innovations(process, burn + n + 1, m, rng)
+            eps = eta[0]
+            out = np.empty((n, m))
+            for step in range(1, burn + n + 1):
+                emitted = step - burn - 1
+                t = (emitted / n) if emitted >= 0 else (1.0 / n)
+                if process in ("farbm", "farbb"):
+                    eps = rho @ eps + eta[step]
+                elif process == "tvfar1":
+                    eps = rho @ eps + simulation._sigma(t) * eta[step]
+                else:
+                    eps = simulation._sigma(t) * (rho @ eps) + eta[step]
+                if emitted >= 0:
+                    out[emitted] = eps
+            return out
+
+        for seed in (0, 31):
+            got = gen_errors(process, n, m, np.random.default_rng(seed))
+            want = loop(process, n, m, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
     def test_tvbm_scales_with_time(self):
         n, m = 200, 50
         draws = np.array([gen_errors("tvbm", n, m,
