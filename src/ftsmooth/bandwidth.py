@@ -100,14 +100,14 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
                 sums = _moment_sums(d / hs, vals, kernel, linear)
                 fits = {}
                 if linear:
-                    mu, _, few, singular = _ll_solve(*sums)
-                    fits["ll"] = mu, few | singular
+                    mu, _, bad_ll = _ll_solve(*sums)
+                    fits["ll"] = mu, bad_ll
                 if jack:
-                    small, _, few, singular = _ll_solve(*_moment_sums(
+                    small, _, singular_small = _ll_solve(*_moment_sums(
                         d / (hs / _SQRT2), vals, kernel, True))
                     with np.errstate(invalid="ignore"):  # inf - inf
                         fits["jackknife"] = (2.0 * small - mu,
-                                             few | singular | fits["ll"][1])
+                                             singular_small | bad_ll)
                 if "nw" in names:
                     fits["nw"] = _nw_solve(sums[0], sums[1])
                 for name in names:

@@ -11,7 +11,7 @@ one by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,21 +50,21 @@ _REACH_ATOL = 1e-15
 class SingularFit(ValueError):
     """Local linear normal equations are degenerate at some t."""
 
-    def __init__(self, t: float, bandwidth: float | None = None):
+    def __init__(self, t: float, bandwidth: float):
         self.t = t
         self.bandwidth = bandwidth
-        extra = f" (bandwidth {bandwidth:g})" if bandwidth is not None else ""
-        super().__init__(f"singular local linear fit at t={t:g}{extra}")
+        super().__init__(
+            f"singular local linear fit at t={t:g} (bandwidth {bandwidth:g})")
 
 
 class BandwidthTooSmall(ValueError):
     """Some kernel window contains fewer than two time stamps."""
 
-    def __init__(self, t: float, bandwidth: float | None = None):
+    def __init__(self, t: float, bandwidth: float):
         self.t = t
         self.bandwidth = bandwidth
-        extra = f" (bandwidth {bandwidth:g})" if bandwidth is not None else ""
-        super().__init__(f"window at t={t:g} has < 2 points{extra}")
+        super().__init__(
+            f"window at t={t:g} has < 2 points (bandwidth {bandwidth:g})")
 
 
 class EmptyWindow(ValueError):
@@ -84,13 +84,11 @@ class SmoothConfig:
     """Bandwidth on the rescaled time axis plus the kernel."""
 
     bandwidth: float
-    kernel: Kernel = None  # type: ignore[assignment]
+    kernel: Kernel = field(default_factory=quartic)
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth <= 1.0:
             raise ValueError("bandwidth must be in (0, 1]")
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", quartic())
 
 
 @dataclass(frozen=True)
@@ -108,33 +106,36 @@ class Estimate:
 
 
 def _moment_sums(u, values, kernel: Kernel, linear: bool):
-    """[s0, r0], or [s0, r0, s1, s2, r1, counts] when linear, summed over
-    the last axis of the scaled offsets u; values holds the stamps' rows."""
+    """[s0, r0], or [s0, r0, s1, s2, r1] when linear, summed over the last
+    axis of the scaled offsets u; values holds the stamps' rows."""
     w = kernel(u)
     sums = [w.sum(axis=-1), w @ values]
     if linear:
         wu = w * u
-        sums += [wu.sum(axis=-1), (wu * u).sum(axis=-1), wu @ values,
-                 np.count_nonzero(np.abs(u) <= 1.0, axis=-1)]
+        sums += [wu.sum(axis=-1), (wu * u).sum(axis=-1), wu @ values]
     return sums
 
 
-def _kernel_sums(times: np.ndarray, values: np.ndarray,
-                 eval_times: np.ndarray, h: float, kernel: Kernel,
-                 linear: bool):
-    """Unnormalized kernel sums at each eval point, over its window only.
-
-    Returns the _moment_sums of each point. The 1/(nh) factor cancels in
-    every estimator and is never applied.
+def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
+                 kernel: Kernel, linear: bool):
+    """Evaluation points (the stamps if None) and unnormalized kernel sums
+    at each over its window only: its _moment_sums and, when linear, its
+    count of stamps with |u| <= 1. The 1/(nh) factor cancels in every
+    estimator and is never applied.
     Evaluation points are walked in sorted blocks of _BLOCK;
     each block sums directly over the contiguous training stamps within
     reach of its span, so memory is O(block x window), not O(n_eval x n).
     """
-    order = None
-    if not np.all(eval_times[1:] >= eval_times[:-1]):  # NaN sorts last
-        order = np.argsort(eval_times, kind="stable")
-        eval_times = eval_times[order]
-    ne, p = eval_times.size, values.shape[1]
+    eval_times = np.asarray(
+        series.times if eval_times is None else eval_times, dtype=float)
+    if not np.all(np.isfinite(eval_times)):
+        raise ValueError("eval_times must be finite")
+    times, values = series.times, series.values
+    ts, order = eval_times, None
+    if not np.all(ts[1:] >= ts[:-1]):
+        order = np.argsort(ts, kind="stable")
+        ts = ts[order]
+    ne, p = ts.size, values.shape[1]
     out = [np.empty(ne), np.empty((ne, p))]
     if linear:
         out += [np.empty(ne), np.empty(ne), np.empty((ne, p)),
@@ -143,29 +144,31 @@ def _kernel_sums(times: np.ndarray, values: np.ndarray,
     starts = np.arange(0, ne, _BLOCK)
     stops = np.minimum(starts + _BLOCK, ne)
     reach = h * (1.0 + _REACH_RTOL) + _REACH_ATOL * float(
-        np.nanmax(np.abs(eval_times), initial=1.0))
-    los = np.searchsorted(times, eval_times[starts] - reach, "left")
-    his = np.searchsorted(times, eval_times[stops - 1] + reach, "right")
+        np.max(np.abs(ts), initial=1.0))
+    los = np.searchsorted(times, ts[starts] - reach, "left")
+    his = np.searchsorted(times, ts[stops - 1] + reach, "right")
     for a, b, lo, hi in zip(starts, stops, los, his):
-        sums = _moment_sums((times[lo:hi] - eval_times[a:b, None]) / h,
-                            values[lo:hi], kernel, linear)
+        u = (times[lo:hi] - ts[a:b, None]) / h
+        sums = _moment_sums(u, values[lo:hi], kernel, linear)
+        if linear:
+            sums.append(np.count_nonzero(np.abs(u) <= 1.0, axis=-1))
         for arr, part in zip(out, sums):
             arr[a:b] = part
     if order is not None:
         inverse = np.empty_like(order)
         inverse[order] = np.arange(ne)
         out = [arr[inverse] for arr in out]
-    return out
+    return eval_times, out
 
 
-def _ll_solve(s0, r0, s1, s2, r1, counts):
-    """Means, determinants and the failure masks (< 2 stamps, degenerate
-    design) of local linear fits from _moment_sums output of any shape.
+def _ll_solve(s0, r0, s1, s2, r1):
+    """Means, determinants and the degenerate-design mask (which covers
+    < 2 stamps) of local linear fits from _moment_sums output of any shape.
     The fits and CV share it and _nw_solve, so their rules cannot drift."""
     denom = s0 * s2 - s1 ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = (s2[..., None] * r0 - s1[..., None] * r1) / denom[..., None]
-    return mu, denom, counts < 2, denom <= _SINGULAR_RTOL * s0 ** 2
+    return mu, denom, denom <= _SINGULAR_RTOL * s0 ** 2
 
 
 def _nw_solve(s0, r0):
@@ -186,14 +189,13 @@ def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
     points with truncated windows; interior_mask records where the
     untruncated-window guarantees apply.
     """
-    if eval_times is None:
-        eval_times = series.times
-    eval_times = np.asarray(eval_times, dtype=float)
     h = cfg.bandwidth
-    s0, r0, s1, s2, r1, counts = sums = _kernel_sums(
-        series.times, series.values, eval_times, h, cfg.kernel, linear=True)
+    eval_times, (s0, r0, s1, s2, r1, counts) = _kernel_sums(
+        series, eval_times, h, cfg.kernel, linear=True)
 
-    mu, denom, too_few, singular = _ll_solve(*sums)
+    mu, denom, singular = _ll_solve(s0, r0, s1, s2, r1)
+    # The count only names the failure: too few stamps imply singular.
+    too_few = counts < 2
     if np.any(too_few):
         raise BandwidthTooSmall(float(eval_times[np.argmax(too_few)]), h)
     if np.any(singular):
@@ -205,12 +207,9 @@ def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
 def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
                     eval_times: np.ndarray | None = None) -> Estimate:
     """Kernel-weighted local average (mean only)."""
-    if eval_times is None:
-        eval_times = series.times
-    eval_times = np.asarray(eval_times, dtype=float)
     h = cfg.bandwidth
-    s0, r0 = _kernel_sums(series.times, series.values, eval_times, h,
-                          cfg.kernel, linear=False)
+    eval_times, (s0, r0) = _kernel_sums(series, eval_times, h, cfg.kernel,
+                                        linear=False)
     mu, empty = _nw_solve(s0, r0)
     if np.any(empty):
         raise EmptyWindow(float(eval_times[np.argmax(empty)]))
@@ -254,14 +253,13 @@ FIT_ERRORS = (SingularFit, BandwidthTooSmall, EmptyWindow)
 
 
 def fit(name: str, series: FunctionalSeries, cfg: SmoothConfig,
-        eval_times: np.ndarray | None = None,
         derivative: bool = False) -> Estimate:
     """Fit the estimator registered as name.
 
     With derivative, an estimate that carries no derivative of its own
     gets the finite-difference one of nw_derivative.
     """
-    est = ESTIMATORS[name](series, cfg, eval_times)
+    est = ESTIMATORS[name](series, cfg)
     if derivative and est.dmu_hat is None:
         est = nw_derivative(est)
     return est

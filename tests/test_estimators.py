@@ -14,7 +14,7 @@ from ftsmooth.bandwidth import (CvConfig, _cv_scores, cross_validate,
 from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, SingularFit,
                                  JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
-                                 fit)
+                                 _ll_solve, _moment_sums, fit)
 
 K = ft.quartic()
 
@@ -80,17 +80,21 @@ class TestLocalLinear:
 
     def test_bandwidth_too_small(self):
         series = equi(np.arange(20.0))
-        with pytest.raises(BandwidthTooSmall):
+        with pytest.raises(BandwidthTooSmall) as exc:
             local_linear(series, SmoothConfig(0.01))
+        assert str(exc.value) == \
+            "window at t=0 has < 2 points (bandwidth 0.01)"
 
     def test_singular_fit(self):
         # three points, but the outer two sit exactly on the kernel's
         # support boundary: one effective point, degenerate fit
         series = FunctionalSeries(np.array([0.0, 0.5, 1.0]),
                                   np.array([[0.0], [1.0], [2.0]]))
-        with pytest.raises(SingularFit):
+        with pytest.raises(SingularFit) as exc:
             local_linear(series, SmoothConfig(0.5),
                          eval_times=np.array([0.5]))
+        assert str(exc.value) == \
+            "singular local linear fit at t=0.5 (bandwidth 0.5)"
 
 
 class TestNadarayaWatson:
@@ -236,6 +240,17 @@ class TestJackknife:
                                  eval_times=np.array([0.5]))
         assert exc.value.bandwidth is not None
 
+    def test_too_small_names_the_small_bandwidth(self):
+        # stamps 0.05 apart: windows of h = 0.06 hold 2 or 3 stamps, those of
+        # h / sqrt(2) only one, so the fit at h / sqrt(2) fails first
+        series = equi(np.arange(20.0))
+        with pytest.raises(BandwidthTooSmall) as exc:
+            jackknife_derivative(series, SmoothConfig(0.06))
+        assert exc.value.bandwidth == 0.06 / np.sqrt(2.0)
+        assert exc.value.t == 0.0
+        assert str(exc.value) == \
+            "window at t=0 has < 2 points (bandwidth 0.0424264)"
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
@@ -342,6 +357,14 @@ class TestSharedProperties:
 
         assert max_diff(2000) < max_diff(200)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fit", [local_linear, jackknife_derivative,
+                                     nadaraya_watson])
+    def test_non_finite_eval_times_rejected(self, fit, bad):
+        series = equi(np.arange(50.0))
+        with pytest.raises(ValueError, match="eval_times must be finite"):
+            fit(series, SmoothConfig(0.2), np.array([0.5, bad, 0.25]))
+
     def test_evaluation_grid_override(self):
         series = equi(np.arange(50.0))
         grid = np.array([0.25, 0.5, 0.75])
@@ -401,6 +424,32 @@ def dense_cv_scores(series, estimator):
             count += mu.size
         scores.append(total / count if np.isfinite(total) else np.inf)
     return np.array(scores)
+
+
+def window_offsets():
+    """Scaled offsets u of 1 to 8 stamps: anywhere in (-1.5, 1.5), exactly
+    +-1, within 1e-6 of +-1, or near 0."""
+    edge = st.sampled_from([-1.0, 1.0])
+    offset = st.one_of(
+        st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True), edge,
+        st.builds(lambda e, d: e + d, edge, st.floats(-1e-6, 1e-6)),
+        st.floats(-1e-6, 1e-6))
+    return st.lists(offset, min_size=1, max_size=8).map(np.array)
+
+
+class TestFailureRule:
+    """The degenerate-design test alone fails the windows with < 2 stamps,
+    so CV needs no stamp count."""
+
+    @pytest.mark.parametrize("kernel", [K, tabulated_quartic()],
+                             ids=["quartic", "custom"])
+    @settings(max_examples=300, deadline=None)
+    @given(u=window_offsets())
+    def test_too_few_stamps_imply_singular(self, kernel, u):
+        sums = _moment_sums(u, np.ones((u.size, 1)), kernel, True)
+        s0, denom = sums[0], _ll_solve(*sums)[1]
+        if np.count_nonzero(np.abs(u) <= 1.0) < 2:
+            assert denom <= _SINGULAR_RTOL * s0 ** 2
 
 
 class TestWindowedSums:
