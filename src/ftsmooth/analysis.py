@@ -43,9 +43,8 @@ def mae(est, truth) -> float:
     return float(np.abs(_diff(est, truth)).mean())
 
 
-def residual_norms(series: FunctionalSeries, smoothed: Estimate,
-                   norm: str | None = None) -> np.ndarray:
-    """Norm of the residual curve X_i - mu_hat(t_i) at each time stamp.
+def residual_norms(series: FunctionalSeries, smoothed: Estimate) -> np.ndarray:
+    """series.norm of the residual curve X_i - mu_hat(t_i) at each stamp.
 
     The smoothed curves must sit on exactly the series' time stamps.
     """
@@ -54,8 +53,7 @@ def residual_norms(series: FunctionalSeries, smoothed: Estimate,
             f"series {series.values.shape} vs smoothed {smoothed.mu_hat.shape}")
     if not np.array_equal(smoothed.times, series.times):
         raise ShapeMismatch("smoothed time stamps differ from the series'")
-    return discretized_norm(series.values - smoothed.mu_hat,
-                            norm or series.norm)
+    return discretized_norm(series.values - smoothed.mu_hat, series.norm)
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,7 @@ def detect_peaks(z, threshold_multiplier: float = 5.0) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(starts, stops)]
 
 
-def sliding_embed(raw: np.ndarray, stride: int, m: int,
-                  norm: str = "l2") -> FunctionalSeries:
+def sliding_embed(raw: np.ndarray, stride: int, m: int) -> FunctionalSeries:
     """Embed an N x d signal into overlapping windows of m samples.
 
     Observation i (1-based, i = 1, ..., floor(N/stride) - (m-1)) collects
@@ -126,5 +123,4 @@ def sliding_embed(raw: np.ndarray, stride: int, m: int,
     # read-only view, and its (d, m) layout flattens channel-major.
     windows = sliding_window_view(raw, m, axis=0)[stride - 1::stride][:n]
     values = np.array(windows).reshape(n, d * m)
-    return FunctionalSeries(np.arange(1, n + 1) / n, values,
-                            ValueGrid(d, m), norm)
+    return FunctionalSeries(np.arange(1, n + 1) / n, values, ValueGrid(d, m))

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (_REACH_ATOL, _REACH_RTOL, _SQRT2, ESTIMATORS,
-                         _ll_solve, _moment_sums, _nw_solve)
-from .kernels import Kernel, quartic
+from .estimators import (_REACH_ATOL, _REACH_RTOL, ESTIMATORS, _ll_solve,
+                         _moment_sums, _nw_solve)
+from .kernels import _SQRT2, Kernel, quartic
 from .series import FunctionalSeries
 
 __all__ = ["CvConfig", "CvReport", "AllBandwidthsInvalid",
@@ -75,7 +75,6 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
     n, p = series.n, series.p
     if cfg.k > n // 4:
         raise ValueError("k must be <= n/4")
-    kernel = kernel or quartic()
     grid = bandwidth_grid(n, cfg.grid_size)
     jack = "jackknife" in names
     linear = jack or "ll" in names
@@ -131,7 +130,7 @@ def _select(series: FunctionalSeries, grid, scores) -> CvReport:
 
 
 def cross_validate(series: FunctionalSeries, cfg: CvConfig,
-                   kernel: Kernel | None = None) -> CvReport:
+                   kernel: Kernel = quartic()) -> CvReport:
     """Score each candidate bandwidth by k-fold validation MSE.
 
     Each fold is fitted on the training stamps only (windows may cross fold

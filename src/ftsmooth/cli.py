@@ -23,6 +23,7 @@ from .estimators import (ESTIMATORS, FIT_ERRORS, Estimate, NonEquidistant,
                          SmoothConfig, fit)
 from .io import (MalformedInput, read_series_csv, write_csv,
                  write_json_atomic, write_series_csv)
+from .series import NORMS
 from .simulation import (ERROR_PROCESSES, MEAN_OPERATORS, RESULT_FIELDS,
                          SimSpec, monte_carlo)
 
@@ -212,8 +213,7 @@ def cv(input, meta, estimator, k, grid_size, out):
           click.option("--estimator", type=click.Choice(sorted(ESTIMATORS)),
                        default=None, help="(default ll)"),
           *_BANDWIDTH,
-          click.option("--norm", type=click.Choice(["l1", "l2", "sup"]),
-                       default=None),
+          click.option("--norm", type=click.Choice(NORMS), default=None),
           click.option("--threshold-multiplier", type=float, default=5.0))
 def analyze(input, meta, smoothed, estimator, bandwidth, bandwidth_frames,
             norm, threshold_multiplier, out):
@@ -227,8 +227,7 @@ def analyze(input, meta, smoothed, estimator, bandwidth, bandwidth_frames,
         series = replace(series, norm=norm)
     if smoothed is not None:
         sm = read_series_csv(smoothed)
-        est = Estimate(sm.times, sm.values, None, np.ones(sm.n, dtype=bool),
-                       0.0)
+        est = Estimate(sm.times, sm.values, None, np.ones(sm.n, dtype=bool))
         command = "fts analyze"
     else:
         estimator = estimator or "ll"

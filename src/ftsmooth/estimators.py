@@ -11,11 +11,11 @@ one by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import Kernel, quartic
+from .kernels import _SQRT2, Kernel, quartic
 from .series import FunctionalSeries
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "ESTIMATORS", "FIT_ERRORS", "fit",
     "JACKKNIFE_DERIV_COEF_SMALL", "JACKKNIFE_DERIV_COEF_LARGE",
 ]
-
-_SQRT2 = np.sqrt(2.0)
 
 # Derivative Jackknife weights sqrt(2)/(sqrt(2)-1) and 1/(sqrt(2)-1);
 # they differ by exactly one.
@@ -84,7 +82,7 @@ class SmoothConfig:
     """Bandwidth on the rescaled time axis plus the kernel."""
 
     bandwidth: float
-    kernel: Kernel = field(default_factory=quartic)
+    kernel: Kernel = quartic()
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth <= 1.0:
@@ -102,7 +100,6 @@ class Estimate:
     mu_hat: np.ndarray
     dmu_hat: np.ndarray | None
     interior_mask: np.ndarray
-    bandwidth: float
 
 
 def _moment_sums(u, values, kernel: Kernel, linear: bool):
@@ -201,7 +198,7 @@ def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
     if np.any(singular):
         raise SingularFit(float(eval_times[np.argmax(singular)]), h)
     dmu = (s0[:, None] * r1 - s1[:, None] * r0) / (h * denom[:, None])
-    return Estimate(eval_times, mu, dmu, _interior_mask(eval_times, h), h)
+    return Estimate(eval_times, mu, dmu, _interior_mask(eval_times, h))
 
 
 def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
@@ -213,7 +210,7 @@ def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
     mu, empty = _nw_solve(s0, r0)
     if np.any(empty):
         raise EmptyWindow(float(eval_times[np.argmax(empty)]))
-    return Estimate(eval_times, mu, None, _interior_mask(eval_times, h), h)
+    return Estimate(eval_times, mu, None, _interior_mask(eval_times, h))
 
 
 def nw_derivative(est: Estimate) -> Estimate:
@@ -240,8 +237,7 @@ def jackknife_derivative(series: FunctionalSeries, cfg: SmoothConfig,
     dmu = (JACKKNIFE_DERIV_COEF_SMALL * fit_small.dmu_hat
            - JACKKNIFE_DERIV_COEF_LARGE * fit_large.dmu_hat)
     mu = 2.0 * fit_small.mu_hat - fit_large.mu_hat
-    return Estimate(fit_large.times, mu, dmu,
-                    fit_large.interior_mask, cfg.bandwidth)
+    return Estimate(fit_large.times, mu, dmu, fit_large.interior_mask)
 
 
 # The estimators by name, for cross-validation, the simulation and the CLI.

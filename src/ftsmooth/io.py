@@ -152,12 +152,12 @@ def write_csv(path: str, columns: dict, command=None, seed=None) -> None:
 
 
 def write_series_csv(path: str, times: np.ndarray, values: np.ndarray,
-                     command=None, seed=None,
+                     command=None,
                      extra_cols: dict[str, np.ndarray] | None = None) -> None:
     values = np.atleast_2d(values)
     columns = {"t": times}
     columns.update((f"x{j}", values[:, j]) for j in range(values.shape[1]))
-    write_csv(path, {**columns, **(extra_cols or {})}, command, seed)
+    write_csv(path, {**columns, **(extra_cols or {})}, command)
 
 
 def write_json_atomic(path: str, obj) -> None:

@@ -49,8 +49,9 @@ class Kernel:
         elif shape == "custom":
             if grid is None or values is None:
                 raise ValueError("custom kernel needs grid and values")
-            grid = np.asarray(grid, dtype=float)
-            values = np.asarray(values, dtype=float)
+            # Copies: the caller's arrays may change after validation.
+            grid = np.array(grid, dtype=float)
+            values = np.array(values, dtype=float)
             if grid.ndim != 1 or grid.shape != values.shape or grid.size < 3:
                 raise ValueError("grid and values must be equal-length 1d arrays")
             if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
@@ -73,15 +74,12 @@ class Kernel:
                 raise ValueError("kernel must be symmetric")
         else:
             raise ValueError(f"unknown kernel shape: {shape!r}")
-        self.shape = shape
         if abs(self.moment(0) - 1.0) > 1e-9:
             raise ValueError("kernel must integrate to 1 on [-1, 1]")
 
     def __call__(self, x) -> np.ndarray:
         """K(x), zero outside [-1, 1]."""
         return self._eval(x)
-
-    eval = __call__
 
     def eval_star(self, x) -> np.ndarray:
         """The bias-cancelling kernel 2*sqrt(2)*K(sqrt(2)x) - K(x)."""
@@ -115,6 +113,10 @@ def _simpson(f) -> float:
                             + 2.0 * y[2:-1:2].sum()))
 
 
+_QUARTIC = Kernel("quartic")
+
+
 def quartic() -> Kernel:
-    """The quartic kernel K(x) = 15/16 (1 - x^2)^2."""
-    return Kernel("quartic")
+    """The quartic kernel K(x) = 15/16 (1 - x^2)^2, the library's default:
+    every call returns the same instance."""
+    return _QUARTIC

@@ -64,14 +64,11 @@ class FunctionalSeries:
             raise ValueError(f"norm must be one of {NORMS}")
 
     @classmethod
-    def equidistant(cls, values, value_grid: ValueGrid | None = None,
-                    norm: str = "l2") -> "FunctionalSeries":
-        """Series on the stamps i/n, i = 0, ..., n-1."""
+    def equidistant(cls, values) -> "FunctionalSeries":
+        """Series of single curves on the stamps i/n, i = 0, ..., n-1."""
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        n = values.shape[0]
-        if value_grid is None:
-            value_grid = ValueGrid(1, values.shape[1])
-        return cls(np.arange(n) / n, values, value_grid, norm)
+        n, p = values.shape
+        return cls(np.arange(n) / n, values, ValueGrid(1, p))
 
     @property
     def n(self) -> int:

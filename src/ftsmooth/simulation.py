@@ -262,7 +262,7 @@ def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
 
 
 def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
-                cv: CvConfig | None = None, kernel: Kernel | None = None,
+                cv: CvConfig = CvConfig(), kernel: Kernel = quartic(),
                 threads: int = 0) -> ResultsTable:
     """Replicate, select bandwidths, fit and aggregate errors.
 
@@ -281,10 +281,6 @@ def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
     if not estimators or len(set(estimators)) < len(estimators):
         raise ValueError("estimators must be a non-empty selection without "
                          f"repeats, got {list(estimators)}")
-    if cv is None:
-        cv = CvConfig()
-    if kernel is None:
-        kernel = quartic()
     per_rep = [_run_rep(spec, rep, estimators, cv, kernel)
                for rep in range(spec.reps)]
 

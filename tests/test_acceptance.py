@@ -10,6 +10,7 @@ sample sizes and takes a couple of minutes; everything else is fast.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def test_criterion_2_weighted_least_squares_oracle():
         series = ft.FunctionalSeries.equidistant(rng.normal(size=(n, p)))
         est = ft.local_linear(series, ft.SmoothConfig(h, kernel))
         for i, t in enumerate(series.times):
-            w = kernel.eval((series.times - t) / h)
+            w = kernel((series.times - t) / h)
             sw = np.sqrt(w)
             design = np.column_stack([np.ones(n), series.times - t])
             coef, *_ = np.linalg.lstsq(design * sw[:, None],
@@ -193,8 +194,8 @@ def test_criterion_10_byte_identical_runs(tmp_path):
         env = dict(os.environ, FTS_THREADS=threads)
         res = runner.invoke(main, args + ["--out", out], env=env)
         assert res.exit_code == 0, res.output
-        blobs.append(open(out + "_results.csv", "rb").read()
-                     + open(out + "_summary.json", "rb").read())
+        blobs.append(Path(out + "_results.csv").read_bytes()
+                     + Path(out + "_summary.json").read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     record(10, "byte-identical results across reruns and thread counts", ok)
     assert ok

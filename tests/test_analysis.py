@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ class TestMetrics:
 
 def _fake_estimate(series, mu):
     return Estimate(series.times, mu, None,
-                    np.ones(series.n, dtype=bool), 0.1)
+                    np.ones(series.n, dtype=bool))
 
 
 class TestResidualNorms:
@@ -50,20 +52,21 @@ class TestResidualNorms:
         s = FunctionalSeries.equidistant(vals)
         mu = vals.copy()
         mu[2, 3] = -7.0
-        z = residual_norms(s, _fake_estimate(s, mu), norm="sup")
+        z = residual_norms(replace(s, norm="sup"), _fake_estimate(s, mu))
         assert z[2] == 7.0 and z[0] == 0.0
 
     def test_l2_hand_value(self):
         s = FunctionalSeries.equidistant(np.array([[3.0, 4.0],
                                                    [0.0, 0.0]]))
-        z = residual_norms(s, _fake_estimate(s, np.zeros((2, 2))), norm="l2")
+        z = residual_norms(replace(s, norm="l2"),
+                           _fake_estimate(s, np.zeros((2, 2))))
         assert z[0] == pytest.approx(np.sqrt(12.5), abs=1e-12)
 
     def test_consistency_with_mse(self):
         rng = np.random.default_rng(2)
         s = FunctionalSeries.equidistant(rng.normal(size=(20, 6)))
         mu = rng.normal(size=(20, 6))
-        z = residual_norms(s, _fake_estimate(s, mu), norm="l2")
+        z = residual_norms(replace(s, norm="l2"), _fake_estimate(s, mu))
         assert mse(s.values, mu) == pytest.approx(float((z ** 2).mean()),
                                                   abs=1e-12)
 
@@ -76,7 +79,7 @@ class TestResidualNorms:
     def test_stamp_mismatch(self):
         s = FunctionalSeries.equidistant(np.zeros((4, 3)))
         shifted = Estimate(s.times + 0.1, s.values, None,
-                           np.ones(s.n, dtype=bool), 0.1)
+                           np.ones(s.n, dtype=bool))
         with pytest.raises(ShapeMismatch):
             residual_norms(s, shifted)
 

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,12 +41,12 @@ class TestSimulate:
                                    "--grid-size", "6", "--seed", "7",
                                    "--estimators", "ll", "--out", out])
         assert res.exit_code == 0, res.output
-        lines = open(out + "_results.csv").read().splitlines()
+        lines = Path(out + "_results.csv").read_text().splitlines()
         assert lines[0].startswith("#")  # provenance
         header = lines[1].split(",")
         mu_row = [l for l in lines[2:] if l.startswith("ll,mu")][0].split(",")
         assert float(mu_row[header.index("mean_mse")]) <= 1e-10
-        summary = json.load(open(out + "_summary.json"))
+        summary = json.loads(Path(out + "_summary.json").read_text())
         assert summary["failed_replications"] == {"ll": 0}
 
     def test_byte_identical_reruns_any_thread_count(self, runner, tmp_path):
@@ -58,8 +59,8 @@ class TestSimulate:
             env = dict(os.environ, FTS_THREADS=threads)
             res = runner.invoke(main, args + ["--out", out], env=env)
             assert res.exit_code == 0, res.output
-            blobs.append(open(out + "_results.csv", "rb").read()
-                         + open(out + "_summary.json", "rb").read())
+            blobs.append(Path(out + "_results.csv").read_bytes()
+                         + Path(out + "_summary.json").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_one_estimators_failed_cv_is_counted_not_fatal(self, runner,
@@ -70,9 +71,10 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", "--n", "12", "--k", "2",
                                    "--reps", "2", "--out", out])
         assert res.exit_code == 0, res.output
-        failed = json.load(open(out + "_summary.json"))["failed_replications"]
+        failed = json.loads(Path(out + "_summary.json").read_text())[
+            "failed_replications"]
         assert failed == {"ll": 0, "jackknife": 2, "nw": 0}
-        rows = open(out + "_results.csv").read().splitlines()[2:]
+        rows = Path(out + "_results.csv").read_text().splitlines()[2:]
         assert {r.split(",")[0] for r in rows} == {"ll", "nw"}
 
     def test_no_estimator_succeeding_exits_4(self, runner, tmp_path):
@@ -89,11 +91,11 @@ class TestSimulate:
                 "--estimators", "nw", "--out", out]
         res = runner.invoke(main, args + ["--format", "json"])
         assert res.exit_code == 0, res.output
-        data = json.load(open(out + "_results.json"))
+        data = json.loads(Path(out + "_results.json").read_text())
         assert {r["target"] for r in data["rows"]} == {"mu", "dmu"}
         res = runner.invoke(main, args + ["--format", "csv"])
         assert res.exit_code == 0, res.output
-        lines = open(out + "_results.csv").read().splitlines()
+        lines = Path(out + "_results.csv").read_text().splitlines()
         assert lines[1].split(",") == list(RESULT_FIELDS)
         assert len(lines) - 2 == len(data["rows"])
         for line, row in zip(lines[2:], data["rows"]):
@@ -123,8 +125,8 @@ class TestSimulate:
             res = runner.invoke(main, args + ["--out", out],
                                 env={"FTS_THREADS": threads})
             assert res.exit_code == 0, res.output
-            blobs.append(open(out + "_results.csv", "rb").read()
-                         + open(out + "_summary.json", "rb").read())
+            blobs.append(Path(out + "_results.csv").read_bytes()
+                         + Path(out + "_summary.json").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_bad_flag_exits_2(self, runner):
@@ -149,7 +151,7 @@ class TestSmooth:
         assert res.exit_code == 0, res.output
         got = read_series_csv(out + "_mu.csv")
         assert np.allclose(got.values, 2.5, atol=1e-12)
-        header = open(out + "_mu.csv").read().splitlines()[1]
+        header = Path(out + "_mu.csv").read_text().splitlines()[1]
         assert header.endswith("interior_mask")
 
     def test_bandwidth_frames_equals_fraction(self, runner, tmp_path):
@@ -163,7 +165,8 @@ class TestSmooth:
                                        "--estimator", "jackknife",
                                        "--out", out] + flags)
             assert res.exit_code == 0, res.output
-        assert open(out_a + "_mu.csv").read() == open(out_b + "_mu.csv").read()
+        assert (Path(out_a + "_mu.csv").read_text()
+                == Path(out_b + "_mu.csv").read_text())
 
     def test_nw_derivative_flag(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")
@@ -193,7 +196,7 @@ class TestSmooth:
                                    estimator, source):
         monkeypatch.chdir(tmp_path)
         write_input("in.csv", np.random.default_rng(3).normal(size=(60, 1)))
-        json.dump({"derivative": True}, open("cfg.json", "w"))
+        Path("cfg.json").write_text(json.dumps({"derivative": True}))
         flag = {"flag": ["--derivative"], "config": ["--config", "cfg.json"]}
         res = runner.invoke(main, ["smooth", "--input", "in.csv",
                                    "--estimator", estimator,
@@ -286,7 +289,7 @@ class TestSmooth:
     def test_bad_sidecar_exits_3(self, runner, tmp_path, meta):
         inp = str(tmp_path / "in.csv")
         write_input(inp, np.zeros((20, 2)))
-        json.dump(meta, open(inp + ".meta.json", "w"))
+        Path(inp + ".meta.json").write_text(json.dumps(meta))
         out = str(tmp_path / "sm")
         res = runner.invoke(main, ["smooth", "--input", inp,
                                    "--bandwidth", "0.3", "--out", out])
@@ -328,7 +331,7 @@ class TestCv:
         out = str(tmp_path / "cv")
         res = runner.invoke(main, ["cv", "--input", inp, "--out", out])
         assert res.exit_code == 0, res.output
-        report = json.load(open(out + "_cv.json"))
+        report = json.loads(Path(out + "_cv.json").read_text())
         assert len(report["grid"]) == 20  # default grid size
         finite = [h for h, s in zip(report["grid"], report["scores"])
                   if np.isfinite(s)]
@@ -338,19 +341,19 @@ class TestCv:
         inp = str(tmp_path / "in.csv")
         write_input(inp, np.random.default_rng(1).normal(size=(60, 1)))
         cfgfile = str(tmp_path / "cfg.json")
-        json.dump({"grid_size": 6, "k": 3}, open(cfgfile, "w"))
+        Path(cfgfile).write_text(json.dumps({"grid_size": 6, "k": 3}))
         out = str(tmp_path / "cv")
         res = runner.invoke(main, ["cv", "--input", inp, "--config", cfgfile,
                                    "--grid-size", "4", "--out", out])
         assert res.exit_code == 0, res.output
-        report = json.load(open(out + "_cv.json"))
+        report = json.loads(Path(out + "_cv.json").read_text())
         assert len(report["grid"]) == 4  # flag wins over config file
 
     def test_unknown_config_key_exits_2(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")
         write_input(inp, np.zeros((40, 1)))
         cfgfile = str(tmp_path / "cfg.json")
-        json.dump({"bandwidth": 0.1}, open(cfgfile, "w"))
+        Path(cfgfile).write_text(json.dumps({"bandwidth": 0.1}))
         res = runner.invoke(main, ["cv", "--input", inp,
                                    "--config", cfgfile])
         assert res.exit_code == 2
@@ -364,7 +367,7 @@ class TestCv:
                                          args, config):
         monkeypatch.chdir(tmp_path)
         write_input("in.csv", np.random.default_rng(4).normal(size=(60, 1)))
-        json.dump(config, open("cfg.json", "w"))
+        Path("cfg.json").write_text(json.dumps(config))
         res = runner.invoke(main, ["cv", "--input", "in.csv", *args,
                                    "--out", "cv"])
         assert res.exit_code == 2
@@ -400,12 +403,13 @@ def test_config_values_checked_like_flags(runner, tmp_path, monkeypatch,
                                           args, config, code, written):
     monkeypatch.chdir(tmp_path)
     write_input("in.csv", np.random.default_rng(2).normal(size=(40, 2)))
-    json.dump(config, open("cfg.json", "w"))
+    Path("cfg.json").write_text(json.dumps(config))
     res = runner.invoke(main, [*args, "--config", "cfg.json", "--out", "run"])
     assert res.exit_code == code, res.output
     assert sorted(f for f in os.listdir() if f.startswith("run")) == written
     if code == 0 and args == ["simulate"]:
-        command_line = json.load(open("run_summary.json"))["command"]
+        command_line = json.loads(
+            Path("run_summary.json").read_text())["command"]
         assert f" --reps {config['reps']} " in command_line
 
 
@@ -421,7 +425,7 @@ def test_config_run_equals_flag_run(runner, tmp_path, monkeypatch, command,
     # Each config key is its flag's name without "--", with "-" as "_".
     monkeypatch.chdir(tmp_path)
     write_input("in.csv", np.random.default_rng(3).normal(size=(60, 2)))
-    json.dump(config, open("cfg.json", "w"))
+    Path("cfg.json").write_text(json.dumps(config))
     flags = [a for key, value in config.items()
              for a in ("--" + key.replace("_", "-"), str(value))]
     for args, out in ((["--config", "cfg.json"], "a"), (flags, "b")):
@@ -446,7 +450,7 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", "--input", inp,
                                    "--smoothed", smoothed, "--out", out])
         assert res.exit_code == 0, res.output
-        peaks = json.load(open(out + "_peaks.json"))
+        peaks = json.loads(Path(out + "_peaks.json").read_text())
         assert abs(peaks["cusum_argmax_index"] - 59) <= 2
 
     def test_zero_residuals(self, runner, tmp_path):
@@ -456,10 +460,10 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", "--input", inp,
                                    "--smoothed", inp, "--out", out])
         assert res.exit_code == 0, res.output
-        peaks = json.load(open(out + "_peaks.json"))
+        peaks = json.loads(Path(out + "_peaks.json").read_text())
         assert peaks["peaks"] == []
         cus = [float(l.split(",")[1]) for l in
-               open(out + "_cusum.csv").read().splitlines()[2:]]
+               Path(out + "_cusum.csv").read_text().splitlines()[2:]]
         assert max(abs(c) for c in cus) <= 1e-12
 
     def test_sup_norm_is_row_max(self, runner, tmp_path):
@@ -474,7 +478,7 @@ class TestAnalyze:
                                    "--smoothed", smoothed,
                                    "--norm", "sup", "--out", out])
         assert res.exit_code == 0, res.output
-        rows = open(out + "_residuals.csv").read().splitlines()[2:]
+        rows = Path(out + "_residuals.csv").read_text().splitlines()[2:]
         assert float(rows[7].split(",")[1]) == 4.0
 
     def test_one_pass_smoothing(self, runner, tmp_path):
@@ -511,9 +515,11 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", "--input", "in.csv", *flags,
                                    "--out", "an"])
         assert res.exit_code == 0, res.output
-        assert json.load(open("an_peaks.json"))["command"] == command
+        peaks = json.loads(Path("an_peaks.json").read_text())
+        assert peaks["command"] == command
         for name in ("an_residuals.csv", "an_cusum.csv"):
-            assert open(name).readline() == provenance(command)
+            first = Path(name).read_text().splitlines(True)[0]
+            assert first == provenance(command)
 
     @pytest.mark.parametrize("flags, config", [
         (["--estimator", "ll"], {}),
@@ -529,7 +535,7 @@ class TestAnalyze:
         monkeypatch.chdir(tmp_path)
         write_input("in.csv", np.random.default_rng(11).normal(size=(30, 2)))
         write_input("sm.csv", np.zeros((30, 2)))
-        json.dump(config, open("cfg.json", "w"))
+        Path("cfg.json").write_text(json.dumps(config))
         res = runner.invoke(main, ["analyze", "--input", "in.csv",
                                    "--smoothed", "sm.csv", *flags,
                                    "--config", "cfg.json", "--out", "an"])
@@ -608,7 +614,7 @@ class TestRoundTrip:
         write_series_csv(path, times, values, command="test",
                          extra_cols={"interior_mask": mask})
         # Comment and blank lines anywhere, and CRLF line ends.
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         for _ in range(data.draw(st.integers(0, 6))):
             lines.insert(data.draw(st.integers(0, len(lines))),
                          data.draw(st.sampled_from(["# note", "", "  ",
@@ -622,8 +628,8 @@ class TestRoundTrip:
     def test_sidecar_metadata(self, tmp_path):
         path = str(tmp_path / "series.csv")
         write_series_csv(path, np.array([0.0, 0.5]), np.zeros((2, 6)))
-        json.dump({"d": 2, "m": 3, "norm": "sup"},
-                  open(path + ".meta.json", "w"))
+        Path(path + ".meta.json").write_text(
+            json.dumps({"d": 2, "m": 3, "norm": "sup"}))
         s = read_series_csv(path)
         assert s.value_grid.d == 2 and s.value_grid.m == 3
         assert s.norm == "sup"
@@ -659,7 +665,7 @@ class TestWriteCsv:
         rows = [[float(v), int(f), int(c), s] for v, f, c, s
                 in zip(self.floats, flags, counts, names)]
         want = old_csv(["v", "flag", "count", "name"], rows, "cmd", 7)
-        assert open(path).read() == want
+        assert Path(path).read_text() == want
 
     def test_series_matches_former_row_formula(self, tmp_path):
         times = np.arange(6) / 6
@@ -671,7 +677,7 @@ class TestWriteCsv:
         rows = [[float(t), *map(float, v), int(b)]
                 for t, v, b in zip(times, values, mask)]
         want = old_csv(["t", "x0", "x1", "interior_mask"], rows, "cmd")
-        assert open(path).read() == want
+        assert Path(path).read_text() == want
 
     def test_unequal_columns_rejected(self, tmp_path):
         path = str(tmp_path / "u.csv")

@@ -138,7 +138,7 @@ class TestNwDerivative:
         # affine in t are; use an affine mu_hat directly instead
         times = np.arange(50) / 50
         fake = ft.Estimate(times, (2.0 - 0.5 * times)[:, None], None,
-                           np.ones(50, bool), 0.1)
+                           np.ones(50, bool))
         d = nw_derivative(fake)
         assert np.max(np.abs(d.dmu_hat + 0.5)) <= 1e-10
         assert est.dmu_hat.shape == (50, 1)
@@ -147,7 +147,7 @@ class TestNwDerivative:
         n = 100
         times = np.arange(n) / n
         fake = ft.Estimate(times, (times ** 2)[:, None], None,
-                           np.ones(n, bool), 0.1)
+                           np.ones(n, bool))
         d = nw_derivative(fake)
         assert np.allclose(d.dmu_hat[1:-1, 0], 2.0 * times[1:-1], atol=1e-12)
         # one-sided at the left end: n * ((1/n)^2 - 0) = 1/n
@@ -155,7 +155,7 @@ class TestNwDerivative:
 
     def test_non_equidistant_rejected(self):
         fake = ft.Estimate(np.array([0.0, 0.1, 0.5]), np.zeros((3, 1)),
-                           None, np.ones(3, bool), 0.1)
+                           None, np.ones(3, bool))
         with pytest.raises(ft.NonEquidistant):
             nw_derivative(fake)
 

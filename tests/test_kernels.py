@@ -1,7 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from ftsmooth.bandwidth import cross_validate
+from ftsmooth.estimators import SmoothConfig
 from ftsmooth.kernels import Kernel, quartic
+from ftsmooth.simulation import monte_carlo
 
 K = quartic()
 SQRT2 = np.sqrt(2.0)
@@ -147,3 +152,26 @@ class TestCustomKernel:
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
             Kernel("gaussian")
+
+    def test_caller_arrays_are_copied(self):
+        # Changing the arrays after construction must not get past the
+        # checks: the kernel evaluates and integrates its own copies.
+        grid = np.linspace(-1, 1, 4001)
+        values = 1.0 - np.abs(grid)
+        k = Kernel("custom", grid=grid, values=values)
+        x = np.linspace(-1.2, 1.2, 97)
+        before, mass = k(x), k.moment(0)
+        grid *= 0.5
+        values[:] = np.nan
+        assert np.array_equal(k(x), before)
+        assert k.moment(0) == mass
+
+
+class TestDefaultKernel:
+    def test_one_shared_instance(self):
+        default = SmoothConfig(0.1).kernel
+        assert default is quartic()
+        for fn in (cross_validate, monte_carlo):
+            kernel = inspect.signature(fn).parameters["kernel"]
+            assert kernel.default is default
+        assert SmoothConfig(0.1) == SmoothConfig(0.1)
