@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (_REACH_ATOL, _REACH_RTOL, ESTIMATORS, _ll_solve,
-                         _moment_sums, _nw_solve)
+from .estimators import (ESTIMATORS, _ll_solve, _moment_sums, _nw_solve,
+                         _windows)
 from .kernels import _SQRT2, Kernel, quartic
 from .series import FunctionalSeries
 
@@ -49,7 +49,7 @@ class CvReport:
     best_h: float
 
 
-def bandwidth_grid(n: int, grid_size: int = 20) -> np.ndarray:
+def bandwidth_grid(n: int, grid_size=CvConfig.grid_size) -> np.ndarray:
     """Geometric grid of grid_size bandwidths from 1/n to 1/sqrt(n)."""
     if n < 9:
         raise ValueError("n must be >= 9")
@@ -85,9 +85,7 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
         t_val, v_val = series.times[val], series.values[val]
         for a in range(0, grid.size, _GROUP):
             hs = grid[a:a + _GROUP, None]
-            reach = hs[-1, 0] * (1.0 + _REACH_RTOL) + _REACH_ATOL
-            lo = np.searchsorted(t_tr, t_val - reach, "left")
-            hi = np.searchsorted(t_tr, t_val + reach, "right")
+            lo, hi = _windows(t_tr, t_val, t_val, hs[-1, 0])
             width = max(int(np.max(hi - lo)), 1)
             # Stamps beyond reach weigh 0; windows may overrun it at either end
             lo = np.minimum(lo, t_tr.size - width)

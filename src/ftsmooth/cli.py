@@ -120,8 +120,9 @@ _BANDWIDTH = (
     click.option("--bandwidth-frames", type=int, default=None,
                  help="bandwidth as a number of observations (h = B/n)"))
 _FOLDS = (
-    click.option("--k", type=int, default=5, help="cross-validation folds"),
-    click.option("--grid-size", type=int, default=20))
+    click.option("--k", type=int, default=CvConfig.k,
+                 help="cross-validation folds"),
+    click.option("--grid-size", type=int, default=CvConfig.grid_size))
 
 
 def _columns(rows, fields) -> dict:
@@ -158,16 +159,14 @@ def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, format,
                   command, seed)
     else:
         write_json_atomic(out + "_results.json", {
-            "command": command, "seed": seed, "version": __version__,
             "rows": [{f: getattr(r, f) for f in RESULT_FIELDS}
-                     for r in table.rows]})
+                     for r in table.rows]}, command, seed)
     write_csv(out + "_timings.csv",
               _columns([r for r in table.rows if r.target == "mu"],
                        ("estimator", "n", "m", "reps", "mean_fit_ms")),
               command, seed)
-    write_json_atomic(out + "_summary.json", {
-        "command": command, "seed": seed, "version": __version__,
-        "failed_replications": table.failures})
+    write_json_atomic(out + "_summary.json",
+                      {"failed_replications": table.failures}, command, seed)
     click.echo(f"wrote {out}_results.{format}")
 
 
@@ -199,10 +198,9 @@ def cv(input, meta, estimator, k, grid_size, out):
     write_csv(out + "_cv.csv", {"h": report.grid, "score": report.scores},
               command)
     write_json_atomic(out + "_cv.json", {
-        "command": command, "version": __version__,
         "best_h": report.best_h,
         "grid": [float(h) for h in report.grid],
-        "scores": [float(s) for s in report.scores]})
+        "scores": [float(s) for s in report.scores]}, command)
     click.echo(f"best_h {report.best_h:.17g}")
 
 
@@ -243,10 +241,9 @@ def analyze(input, meta, smoothed, estimator, bandwidth, bandwidth_frames,
     write_csv(out + "_cusum.csv", {"t": series.times, "cusum": cus.process},
               command)
     write_json_atomic(out + "_peaks.json", {
-        "command": command, "version": __version__,
         "cusum_argmax_index": cus.argmax_index,
         "cusum_max_value": cus.max_value,
-        "peaks": [list(p) for p in peaks]})
+        "peaks": [list(p) for p in peaks]}, command)
     click.echo(f"cusum argmax index {cus.argmax_index}")
 
 

@@ -38,9 +38,7 @@ _SINGULAR_RTOL = 1e-12
 
 # Evaluation points per block of the windowed kernel sums.
 _BLOCK = 32
-# A block's training slice reaches a little past h, so that rounding in
-# t +- h never drops a stamp the in-block test |u| <= 1 keeps: the slice
-# only bounds the work, the test alone decides window membership.
+# Relative and absolute padding of a window's reach past h (_windows).
 _REACH_RTOL = 1e-12
 _REACH_ATOL = 1e-15
 
@@ -48,21 +46,20 @@ _REACH_ATOL = 1e-15
 class SingularFit(ValueError):
     """Local linear normal equations are degenerate at some t."""
 
-    def __init__(self, t: float, bandwidth: float):
-        self.t = t
-        self.bandwidth = bandwidth
-        super().__init__(
-            f"singular local linear fit at t={t:g} (bandwidth {bandwidth:g})")
-
-
-class BandwidthTooSmall(ValueError):
-    """Some kernel window contains fewer than two time stamps."""
+    _message = ("singular local linear fit at t={t:g} "
+                "(bandwidth {bandwidth:g})")
 
     def __init__(self, t: float, bandwidth: float):
         self.t = t
         self.bandwidth = bandwidth
-        super().__init__(
-            f"window at t={t:g} has < 2 points (bandwidth {bandwidth:g})")
+        super().__init__(self._message.format(t=t, bandwidth=bandwidth))
+
+
+class BandwidthTooSmall(SingularFit):
+    """Some kernel window contains fewer than two time stamps, which always
+    makes the fit singular."""
+
+    _message = "window at t={t:g} has < 2 points (bandwidth {bandwidth:g})"
 
 
 class EmptyWindow(ValueError):
@@ -113,6 +110,19 @@ def _moment_sums(u, values, kernel: Kernel, linear: bool):
     return sums
 
 
+def _windows(times, first, last, h: float):
+    """Bounds lo, hi of the sorted stamps within h of the points first..last.
+
+    The slices times[lo:hi] reach a little past h, so that rounding in
+    t +- h never drops a stamp the test |u| <= 1 keeps: a slice only
+    bounds the work, the test alone decides window membership.
+    """
+    reach = h * (1.0 + _REACH_RTOL) + _REACH_ATOL * max(
+        np.max(np.abs(first), initial=1.0), np.max(np.abs(last), initial=1.0))
+    return (np.searchsorted(times, first - reach, "left"),
+            np.searchsorted(times, last + reach, "right"))
+
+
 def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
                  kernel: Kernel, linear: bool):
     """Evaluation points (the stamps if None) and unnormalized kernel sums
@@ -125,6 +135,8 @@ def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
     """
     eval_times = np.asarray(
         series.times if eval_times is None else eval_times, dtype=float)
+    if eval_times.ndim != 1:
+        raise ValueError("eval_times must be a 1d array")
     if not np.all(np.isfinite(eval_times)):
         raise ValueError("eval_times must be finite")
     times, values = series.times, series.values
@@ -140,21 +152,15 @@ def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
 
     starts = np.arange(0, ne, _BLOCK)
     stops = np.minimum(starts + _BLOCK, ne)
-    reach = h * (1.0 + _REACH_RTOL) + _REACH_ATOL * float(
-        np.max(np.abs(ts), initial=1.0))
-    los = np.searchsorted(times, ts[starts] - reach, "left")
-    his = np.searchsorted(times, ts[stops - 1] + reach, "right")
+    los, his = _windows(times, ts[starts], ts[stops - 1], h)
     for a, b, lo, hi in zip(starts, stops, los, his):
         u = (times[lo:hi] - ts[a:b, None]) / h
         sums = _moment_sums(u, values[lo:hi], kernel, linear)
         if linear:
             sums.append(np.count_nonzero(np.abs(u) <= 1.0, axis=-1))
+        rows = slice(a, b) if order is None else order[a:b]
         for arr, part in zip(out, sums):
-            arr[a:b] = part
-    if order is not None:
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(ne)
-        out = [arr[inverse] for arr in out]
+            arr[rows] = part
     return eval_times, out
 
 
@@ -245,7 +251,7 @@ ESTIMATORS = {"ll": local_linear, "jackknife": jackknife_derivative,
               "nw": nadaraya_watson}
 
 # A fit raises one of these when the bandwidth is unusable for the data.
-FIT_ERRORS = (SingularFit, BandwidthTooSmall, EmptyWindow)
+FIT_ERRORS = (SingularFit, EmptyWindow)
 
 
 def fit(name: str, series: FunctionalSeries, cfg: SmoothConfig,

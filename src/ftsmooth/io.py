@@ -160,5 +160,9 @@ def write_series_csv(path: str, times: np.ndarray, values: np.ndarray,
     write_csv(path, {**columns, **(extra_cols or {})}, command)
 
 
-def write_json_atomic(path: str, obj) -> None:
+def write_json_atomic(path: str, obj: dict, command: str, seed=None) -> None:
+    """Write obj as JSON with write_csv's provenance: command, version, seed."""
+    obj = {**obj, "command": command, "version": __version__}
+    if seed is not None:
+        obj["seed"] = seed
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

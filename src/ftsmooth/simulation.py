@@ -18,7 +18,7 @@ from .analysis import mae, mse
 from .bandwidth import AllBandwidthsInvalid, CvConfig, _cv_scores, _select
 from .estimators import ESTIMATORS, FIT_ERRORS, SmoothConfig, fit
 from .kernels import Kernel, quartic
-from .series import FunctionalSeries, ValueGrid
+from .series import FunctionalSeries
 
 __all__ = [
     "MeanOperator", "mu1", "mu2", "ERROR_PROCESSES", "SimSpec",
@@ -44,11 +44,6 @@ class MeanOperator:
     id: str
     eval: callable  # (t, x) -> value
     d_eval: callable  # (t, x) -> time derivative
-
-    def on_grid(self, times: np.ndarray, x: np.ndarray):
-        """Mean and derivative sampled on times x grid."""
-        tt, xx = np.meshgrid(times, x, indexing="ij")
-        return self.eval(tt, xx), self.d_eval(tt, xx)
 
 
 def mu1() -> MeanOperator:
@@ -198,14 +193,13 @@ def gen_series(spec: SimSpec, rep: int):
     """One replication: observed series plus mean/derivative ground truth."""
     if not 0 <= rep < spec.reps:
         raise ValueError("rep out of range")
-    times = np.arange(spec.n) / spec.n
-    x = np.arange(spec.m) / (spec.m - 1)
-    truth_mu, truth_dmu = spec.mean.on_grid(times, x)
+    tt, xx = np.meshgrid(np.arange(spec.n) / spec.n,
+                         np.arange(spec.m) / (spec.m - 1), indexing="ij")
+    truth_mu, truth_dmu = spec.mean.eval(tt, xx), spec.mean.d_eval(tt, xx)
     errors = gen_errors(spec.errors, spec.n, spec.m,
                         _rng(spec.master_seed, rep))
-    series = FunctionalSeries(times, truth_mu + errors,
-                              ValueGrid(1, spec.m), "l2")
-    return series, truth_mu, truth_dmu
+    return (FunctionalSeries.equidistant(truth_mu + errors), truth_mu,
+            truth_dmu)
 
 
 # Wall-clock fit times are deliberately left out: simulate result

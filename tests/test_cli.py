@@ -9,10 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ftsmooth import __version__
 from ftsmooth.cli import main
 from ftsmooth.estimators import ESTIMATORS
 from ftsmooth.io import (MalformedInput, provenance, read_series_csv,
-                         write_csv, write_series_csv)
+                         write_csv, write_json_atomic, write_series_csv)
 from ftsmooth.simulation import RESULT_FIELDS
 
 
@@ -684,3 +685,14 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv(path, {"a": [1.0, 2.0], "b": [1.0]})
         assert not os.path.exists(path)
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_adds_the_provenance_of_write_csv(self, tmp_path, seed):
+        path = tmp_path / "r.json"
+        write_json_atomic(str(path), {"best_h": 0.5}, "cmd", seed)
+        want = {"best_h": 0.5, "command": "cmd", "version": __version__}
+        if seed is not None:
+            want["seed"] = seed
+        assert json.loads(path.read_text()) == want

@@ -11,10 +11,10 @@ from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
                       local_linear, nadaraya_watson, nw_derivative)
 from ftsmooth.bandwidth import (CvConfig, _cv_scores, cross_validate,
                                 fold_indices)
-from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, SingularFit,
-                                 JACKKNIFE_DERIV_COEF_LARGE,
+from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, FIT_ERRORS,
+                                 SingularFit, JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
-                                 _ll_solve, _moment_sums, fit)
+                                 _ll_solve, _moment_sums, _windows, fit)
 
 K = ft.quartic()
 
@@ -365,6 +365,14 @@ class TestSharedProperties:
         with pytest.raises(ValueError, match="eval_times must be finite"):
             fit(series, SmoothConfig(0.2), np.array([0.5, bad, 0.25]))
 
+    @pytest.mark.parametrize("bad", [0.5, [[0.5, 0.6]]], ids=["0d", "2d"])
+    @pytest.mark.parametrize("fit", [local_linear, jackknife_derivative,
+                                     nadaraya_watson])
+    def test_non_1d_eval_times_rejected(self, fit, bad):
+        series = equi(np.arange(50.0))
+        with pytest.raises(ValueError, match="eval_times must be a 1d array"):
+            fit(series, SmoothConfig(0.2), bad)
+
     def test_evaluation_grid_override(self):
         series = equi(np.arange(50.0))
         grid = np.array([0.25, 0.5, 0.75])
@@ -450,6 +458,42 @@ class TestFailureRule:
         s0, denom = sums[0], _ll_solve(*sums)[1]
         if np.count_nonzero(np.abs(u) <= 1.0) < 2:
             assert denom <= _SINGULAR_RTOL * s0 ** 2
+
+
+    def test_too_few_stamps_is_a_singular_fit(self):
+        assert issubclass(BandwidthTooSmall, SingularFit)
+        assert FIT_ERRORS == (SingularFit, ft.EmptyWindow)
+
+
+@st.composite
+def window_cases(draw):
+    """Sorted distinct stamps in [0, 1], a bandwidth h and point pairs
+    first <= last (often equal), with stamps placed exactly h and one ulp
+    from h away from the points."""
+    h = draw(st.floats(1e-4, 0.5))
+    point = st.floats(0, 1)
+    pairs = draw(st.lists(st.one_of(point.map(lambda t: (t, t)),
+                                    st.tuples(point, point).map(sorted)),
+                          min_size=1, max_size=4))
+    first, last = np.array(pairs).T
+    near = np.concatenate([first - h, first + h, last - h, last + h])
+    stamps = np.concatenate([
+        draw(st.lists(st.floats(0, 1), max_size=20)), near,
+        np.nextafter(near, -np.inf), np.nextafter(near, np.inf)])
+    return np.unique(stamps[(stamps >= 0) & (stamps <= 1)]), first, last, h
+
+
+class TestWindows:
+    @settings(max_examples=300, deadline=None)
+    @given(case=window_cases())
+    def test_no_stamp_in_reach_is_left_out(self, case):
+        times, first, last, h = case
+        lo, hi = _windows(times, first, last, h)
+        j = np.arange(times.size)
+        for i in range(first.size):
+            outside = times[(j < lo[i]) | (j >= hi[i])]
+            for t in (first[i], last[i]):
+                assert not np.any(np.abs((outside - t) / h) <= 1.0)
 
 
 class TestWindowedSums:
