@@ -1,7 +1,7 @@
 """Command line front end: simulate | smooth | cv | analyze.
 
-Exit codes: 0 ok, 2 bad configuration, 3 malformed input file,
-4 numeric failure (singular fit, no valid bandwidth).
+Exit codes: 0 ok, 2 bad configuration (an unwritable --out too),
+3 malformed input file, 4 numeric failure (singular fit, no valid bandwidth).
 Flags may also come from a JSON file via --config; explicit flags win.
 fts simulate runs its replications serially in replication order, so
 reruns with the same seed write byte-identical result files.
@@ -66,7 +66,7 @@ def _guard(fn, kw: dict):
         _fail(EXIT_INPUT, exc)
     except _NUMERIC_ERRORS as exc:
         _fail(EXIT_NUMERIC, exc)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         _fail(EXIT_CONFIG, exc)
 
 
@@ -200,7 +200,8 @@ def cv(input, meta, estimator, k, grid_size, out):
     write_json_atomic(out + "_cv.json", {
         "best_h": report.best_h,
         "grid": [float(h) for h in report.grid],
-        "scores": [float(s) for s in report.scores]}, command)
+        "scores": [float(s) if np.isfinite(s) else None
+                   for s in report.scores]}, command)
     click.echo(f"best_h {report.best_h:.17g}")
 
 

@@ -56,8 +56,8 @@ class SingularFit(ValueError):
 
 
 class BandwidthTooSmall(SingularFit):
-    """Some kernel window contains fewer than two time stamps, which always
-    makes the fit singular."""
+    """The first singular window holds fewer than two time stamps, which
+    always makes the fit singular."""
 
     _message = "window at t={t:g} has < 2 points (bandwidth {bandwidth:g})"
 
@@ -125,10 +125,9 @@ def _windows(times, first, last, h: float):
 
 def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
                  kernel: Kernel, linear: bool):
-    """Evaluation points (the stamps if None) and unnormalized kernel sums
-    at each over its window only: its _moment_sums and, when linear, its
-    count of stamps with |u| <= 1. The 1/(nh) factor cancels in every
-    estimator and is never applied.
+    """Evaluation points (the stamps if None) and, in _moment_sums' layout,
+    unnormalized kernel sums at each over its window only. The 1/(nh)
+    factor cancels in every estimator and is never applied.
     Evaluation points are walked in sorted blocks of _BLOCK;
     each block sums directly over the contiguous training stamps within
     reach of its span, so memory is O(block x window), not O(n_eval x n).
@@ -140,15 +139,12 @@ def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
     if not np.all(np.isfinite(eval_times)):
         raise ValueError("eval_times must be finite")
     times, values = series.times, series.values
-    ts, order = eval_times, None
-    if not np.all(ts[1:] >= ts[:-1]):
-        order = np.argsort(ts, kind="stable")
-        ts = ts[order]
+    order = np.argsort(eval_times, kind="stable")
+    ts = eval_times[order]
     ne, p = ts.size, values.shape[1]
     out = [np.empty(ne), np.empty((ne, p))]
     if linear:
-        out += [np.empty(ne), np.empty(ne), np.empty((ne, p)),
-                np.empty(ne, dtype=np.intp)]
+        out += [np.empty(ne), np.empty(ne), np.empty((ne, p))]
 
     starts = np.arange(0, ne, _BLOCK)
     stops = np.minimum(starts + _BLOCK, ne)
@@ -156,11 +152,8 @@ def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
     for a, b, lo, hi in zip(starts, stops, los, his):
         u = (times[lo:hi] - ts[a:b, None]) / h
         sums = _moment_sums(u, values[lo:hi], kernel, linear)
-        if linear:
-            sums.append(np.count_nonzero(np.abs(u) <= 1.0, axis=-1))
-        rows = slice(a, b) if order is None else order[a:b]
         for arr, part in zip(out, sums):
-            arr[rows] = part
+            arr[order[a:b]] = part
     return eval_times, out
 
 
@@ -193,16 +186,15 @@ def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
     untruncated-window guarantees apply.
     """
     h = cfg.bandwidth
-    eval_times, (s0, r0, s1, s2, r1, counts) = _kernel_sums(
+    eval_times, (s0, r0, s1, s2, r1) = _kernel_sums(
         series, eval_times, h, cfg.kernel, linear=True)
 
     mu, denom, singular = _ll_solve(s0, r0, s1, s2, r1)
-    # The count only names the failure: too few stamps imply singular.
-    too_few = counts < 2
-    if np.any(too_few):
-        raise BandwidthTooSmall(float(eval_times[np.argmax(too_few)]), h)
     if np.any(singular):
-        raise SingularFit(float(eval_times[np.argmax(singular)]), h)
+        # Too few stamps imply singular, so the count only names the failure.
+        t = float(eval_times[np.argmax(singular)])
+        count = np.count_nonzero(np.abs((series.times - t) / h) <= 1.0)
+        raise (BandwidthTooSmall if count < 2 else SingularFit)(t, h)
     dmu = (s0[:, None] * r1 - s1[:, None] * r0) / (h * denom[:, None])
     return Estimate(eval_times, mu, dmu, _interior_mask(eval_times, h))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -42,9 +41,12 @@ def provenance(command: str | None, seed=None) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write text to a temp file beside path and rename it; the OS applies
+    the umask, so a new file gets the mode open(path, "w") gives."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(d, f"tmp{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -165,4 +167,5 @@ def write_json_atomic(path: str, obj: dict, command: str, seed=None) -> None:
     obj = {**obj, "command": command, "version": __version__}
     if seed is not None:
         obj["seed"] = seed
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")

@@ -22,6 +22,10 @@ def runner():
     return CliRunner()
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def write_input(path, values, times=None):
     values = np.atleast_2d(values)
     n = values.shape[0]
@@ -335,8 +339,21 @@ class TestCv:
         report = json.loads(Path(out + "_cv.json").read_text())
         assert len(report["grid"]) == 20  # default grid size
         finite = [h for h, s in zip(report["grid"], report["scores"])
-                  if np.isfinite(s)]
+                  if s is not None]
         assert report["best_h"] == finite[0]
+
+    def test_failed_scores_are_null_in_strict_json(self, runner, tmp_path):
+        inp = str(tmp_path / "in.csv")
+        write_input(inp, np.random.default_rng(1).normal(size=(60, 1)))
+        out = str(tmp_path / "cv")
+        res = runner.invoke(main, ["cv", "--input", inp, "--out", out])
+        assert res.exit_code == 0, res.output
+        report = json.loads(Path(out + "_cv.json").read_text(),
+                            parse_constant=reject_constant)
+        scores = np.loadtxt(out + "_cv.csv", delimiter=",", skiprows=2)[:, 1]
+        assert np.any(np.isinf(scores))
+        assert [s is None for s in report["scores"]] == \
+            np.isinf(scores).tolist()
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")
@@ -375,6 +392,38 @@ class TestCv:
         unknown_key = "unknown config keys: ['fold_scheme']" in res.output
         assert unknown_key == bool(config)
         assert not os.path.exists("cv_cv.json")
+
+
+class TestOutputFiles:
+    _SIMULATE = ["simulate", "--n", "20", "--m", "5", "--reps", "2",
+                 "--grid-size", "4", "--estimators", "ll"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["022", "077"])
+    def test_modes_follow_the_umask(self, runner, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            res = runner.invoke(main, [*self._SIMULATE,
+                                       "--out", str(tmp_path / "run")])
+        finally:
+            os.umask(old)
+        assert res.exit_code == 0, res.output
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(
+            ["run_results.csv", "run_timings.csv", "run_summary.json"], mode)
+
+    @pytest.mark.parametrize("command", [
+        _SIMULATE, ["smooth", "--input", "in.csv", "--bandwidth", "0.3"]],
+        ids=["simulate", "smooth"])
+    def test_unwritable_out_exits_2(self, runner, tmp_path, monkeypatch,
+                                    command):
+        monkeypatch.chdir(tmp_path)
+        write_input("in.csv", np.arange(20.0)[:, None])
+        Path("afile").write_text("")
+        res = runner.invoke(main, [*command, "--out", "afile/x"])
+        assert res.exit_code == 2
+        assert res.output.startswith("error: FileExistsError: ")
+        assert Path("afile").read_text() == ""
 
 
 _SIM = {"m": 5, "grid_size": 4, "estimators": "ll"}

@@ -96,6 +96,20 @@ class TestLocalLinear:
         assert str(exc.value) == \
             "singular local linear fit at t=0.5 (bandwidth 0.5)"
 
+    @pytest.mark.parametrize("h, eval_times, t", [
+        (1 / 20, None, 0.0), (0.3, [1.2, 5.0], 1.2)],
+        ids=["on-the-stamps", "past-the-stamps"])
+    def test_first_failing_point_is_named(self, h, eval_times, t):
+        # A later window with < 2 stamps does not take precedence: t=0.75's
+        # window at h = 1/20 and t=5's at h = 0.3 hold at most one stamp,
+        # but the windows at t=0 and t=1.2 hold two, one of them at |u| = 1.
+        series = equi(np.arange(20.0))
+        with pytest.raises(SingularFit) as exc:
+            local_linear(series, SmoothConfig(h), eval_times)
+        assert type(exc.value) is SingularFit
+        assert str(exc.value) == \
+            f"singular local linear fit at t={t:g} (bandwidth {h:g})"
+
 
 class TestNadarayaWatson:
     def test_constant_exact(self):
@@ -390,20 +404,31 @@ def tabulated_quartic():
     return ft.Kernel("custom", grid=grid, values=values)
 
 
+def dense_ll_failures(train, eval_times, h, kernel=K):
+    """dense_fit's local linear failure mask at each evaluation point, and
+    its count of stamps with |u| <= 1."""
+    u = (train.times[None, :] - eval_times[:, None]) / h
+    w = kernel(u)
+    wu = w * u
+    s0, s1, s2 = w.sum(axis=1), wu.sum(axis=1), (wu * u).sum(axis=1)
+    counts = (np.abs(u) <= 1.0).sum(axis=1)
+    singular = s0 * s2 - s1 ** 2 <= _SINGULAR_RTOL * s0 ** 2
+    return (counts < 2) | singular, counts
+
+
 def dense_fit(train, eval_times, h, estimator, kernel=K):
     """Mean and (ll only) slope fits from dense n_eval x n_train kernel
-    sums over every training stamp; None if the fit fails."""
+    sums over every training stamp; None if the fit fails at any point."""
     u = (train.times[None, :] - eval_times[:, None]) / h
     w = kernel(u)
     s0, r0 = w.sum(axis=1), w @ train.values
     if estimator == "nw":
         return None if np.any(s0 <= 0.0) else (r0 / s0[:, None], None)
+    if np.any(dense_ll_failures(train, eval_times, h, kernel)[0]):
+        return None
     wu = w * u
     s1, s2, r1 = wu.sum(axis=1), (wu * u).sum(axis=1), wu @ train.values
     denom = s0 * s2 - s1 ** 2
-    if (np.any((np.abs(u) <= 1.0).sum(axis=1) < 2)
-            or np.any(denom <= _SINGULAR_RTOL * s0 ** 2)):
-        return None
     return ((s2[:, None] * r0 - s1[:, None] * r1) / denom[:, None],
             (s0[:, None] * r1 - s1[:, None] * r0) / (h * denom[:, None]))
 
@@ -445,9 +470,24 @@ def window_offsets():
     return st.lists(offset, min_size=1, max_size=8).map(np.array)
 
 
+@st.composite
+def failure_cases(draw):
+    """Stamps i/n, a bandwidth of one stamp spacing or a fraction to a few,
+    and evaluation points anywhere in [-0.5, 1.5], on a stamp or exactly h
+    from one."""
+    n = draw(st.integers(2, 40))
+    series = equi(np.arange(float(n)))
+    h = draw(st.one_of(st.just(1.0 / n),
+                       st.floats(0.2 / n, min(3.0 / n, 1.0))))
+    stamp = st.sampled_from(series.times.tolist())
+    point = st.one_of(st.floats(-0.5, 1.5), stamp,
+                      stamp.map(lambda t: t - h), stamp.map(lambda t: t + h))
+    return series, h, np.array(draw(st.lists(point, min_size=1, max_size=40)))
+
+
 class TestFailureRule:
     """The degenerate-design test alone fails the windows with < 2 stamps,
-    so CV needs no stamp count."""
+    so CV counts no stamps and the fits count them at one point only."""
 
     @pytest.mark.parametrize("kernel", [K, tabulated_quartic()],
                              ids=["quartic", "custom"])
@@ -463,6 +503,21 @@ class TestFailureRule:
     def test_too_few_stamps_is_a_singular_fit(self):
         assert issubclass(BandwidthTooSmall, SingularFit)
         assert FIT_ERRORS == (SingularFit, ft.EmptyWindow)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=failure_cases())
+    def test_first_failing_point_is_named(self, case):
+        series, h, eval_times = case
+        fails, counts = dense_ll_failures(series, eval_times, h)
+        if not np.any(fails):
+            local_linear(series, SmoothConfig(h), eval_times)
+            return
+        i = np.argmax(fails)
+        with pytest.raises(SingularFit) as exc:
+            local_linear(series, SmoothConfig(h), eval_times)
+        assert exc.value.t == eval_times[i]
+        assert type(exc.value) is (BandwidthTooSmall if counts[i] < 2
+                                   else SingularFit)
 
 
 @st.composite
