@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (ESTIMATORS, _ll_solve, _moment_sums, _nw_solve,
-                         _windows)
+from .estimators import ESTIMATORS, _ll_design, _windows
 from .kernels import _SQRT2, Kernel, quartic
 from .series import FunctionalSeries
 
@@ -62,22 +61,43 @@ def fold_indices(n: int, k: int) -> list[np.ndarray]:
     return [idx[f::k] for f in range(k)]
 
 
+def _equivalent_kernels(d, powers, hs, kernel, names):
+    """{name: (a, failed)}: each named estimator's means are a @ values
+    (its equivalent kernel) at the offsets d (points x stamps), with
+    powers = [1, d, d^2] on a last axis, for each bandwidth of the column
+    hs; failed marks degenerate windows. From the moment sums S = w @ powers
+    (h cancels), ll is w (S2 - S1 d) / (S0 S2 - S1^2), the jackknife
+    2 a(h/sqrt 2) - a(h) and nw w / S0."""
+    w = kernel(d[:, None, :] / hs)
+    s0, s1, s2 = (w @ powers).transpose(2, 0, 1)
+    out = {}
+    if "nw" in names:
+        out["nw"] = w / s0[..., None], s0 <= 0.0
+    if "ll" in names or "jackknife" in names:
+        denom, failed = _ll_design(s0, s1, s2, hs[:, 0])
+        out["ll"] = w * ((s2 / denom)[..., None]
+                         - (s1 / denom)[..., None] * d[:, None, :]), failed
+    if "jackknife" in names:
+        small, failed = _equivalent_kernels(d, powers, hs / _SQRT2, kernel,
+                                            ("ll",))["ll"]
+        out["jackknife"] = 2.0 * small - out["ll"][0], failed | out["ll"][1]
+    return out
+
+
 def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
     """The grid and each named estimator's CV scores on it, in one pass.
 
     Per fold, the grid is walked in groups of _GROUP bandwidths; each
     held-out stamp sums over its own W training stamps from its first
     within the group's largest reach, and each chunk of points is scored
-    at once. ll, nw and the jackknife (2 ll(h/sqrt 2) - ll(h)) share the
-    sums. Groups, windows and chunks depend on the grid and data only, so
-    an estimator's scores do not depend on what else is scored.
+    by one product of each estimator's weights with the values. Groups,
+    windows and chunks depend on the grid and data only, so an
+    estimator's scores do not depend on what else is scored.
     """
     n, p = series.n, series.p
     if cfg.k > n // 4:
         raise ValueError("k must be <= n/4")
     grid = bandwidth_grid(n, cfg.grid_size)
-    jack = "jackknife" in names
-    linear = jack or "ll" in names
     sse = {name: np.zeros(grid.size) for name in names}  # inf: failed
     for val in fold_indices(n, cfg.k):
         t_tr, v_tr = np.delete(series.times, val), np.delete(series.values,
@@ -89,28 +109,23 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
             width = max(int(np.max(hi - lo)), 1)
             # Stamps beyond reach weigh 0; windows may overrun it at either end
             lo = np.minimum(lo, t_tr.size - width)
-            step = max(_CHUNK // ((width + _GROUP) * (p + _GROUP)), 1)
+            # Per point: the window's values, the weights of all three
+            # estimators and one fit, whichever are scored, so that chunks
+            # do not depend on what is scored.
+            step = max(_CHUNK // (width * p + _GROUP * (3 * width + p)), 1)
             for b in range(0, val.size, step):
                 idx = lo[b:b + step, None] + np.arange(width)
-                d = (t_tr[idx] - t_val[b:b + step, None])[:, None, :]
-                vals, y = v_tr[idx], v_val[b:b + step, None, :]
-                sums = _moment_sums(d / hs, vals, kernel, linear)
-                fits = {}
-                if linear:
-                    mu, _, bad_ll = _ll_solve(*sums)
-                    fits["ll"] = mu, bad_ll
-                if jack:
-                    small, _, singular_small = _ll_solve(*_moment_sums(
-                        d / (hs / _SQRT2), vals, kernel, True))
-                    with np.errstate(invalid="ignore"):  # inf - inf
-                        fits["jackknife"] = (2.0 * small - mu,
-                                             singular_small | bad_ll)
-                if "nw" in names:
-                    fits["nw"] = _nw_solve(sums[0], sums[1])
-                for name in names:
-                    est, bad = fits[name]
-                    sse[name][a:a + _GROUP] += np.where(
-                        bad.any(axis=0), np.inf, ((est - y) ** 2).sum((0, 2)))
+                d = np.take(t_tr, idx) - t_val[b:b + step, None]
+                powers = np.stack((np.ones_like(d), d, d * d), axis=-1)
+                vals = np.take(v_tr, idx, axis=0)
+                y = v_val[b:b + step, None, :]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    fits = _equivalent_kernels(d, powers, hs, kernel, names)
+                    for name in names:
+                        weights, failed = fits[name]
+                        sse[name][a:a + _GROUP] += np.where(
+                            failed.any(axis=0), np.inf,
+                            ((weights @ vals - y) ** 2).sum((0, 2)))
     return grid, {name: sse[name] / (n * p) for name in names}
 
 

@@ -157,20 +157,13 @@ def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
     return eval_times, out
 
 
-def _ll_solve(s0, r0, s1, s2, r1):
-    """Means, determinants and the degenerate-design mask (which covers
-    < 2 stamps) of local linear fits from _moment_sums output of any shape.
-    The fits and CV share it and _nw_solve, so their rules cannot drift."""
+def _ll_design(s0, s1, s2, h=1.0):
+    """Determinants and the degenerate-design mask (which covers < 2
+    stamps) of local linear fits from kernel moment sums of any shape, in
+    offsets scaled by 1/h (the fits) or unscaled (CV, with h given). The
+    fits and CV share it, so their rules cannot drift."""
     denom = s0 * s2 - s1 ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = (s2[..., None] * r0 - s1[..., None] * r1) / denom[..., None]
-    return mu, denom, denom <= _SINGULAR_RTOL * s0 ** 2
-
-
-def _nw_solve(s0, r0):
-    """Kernel-weighted means and the mask of empty windows."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return r0 / s0[..., None], s0 <= 0.0
+    return denom, denom <= _SINGULAR_RTOL * (h * s0) ** 2
 
 
 def _interior_mask(eval_times: np.ndarray, h: float) -> np.ndarray:
@@ -189,12 +182,13 @@ def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
     eval_times, (s0, r0, s1, s2, r1) = _kernel_sums(
         series, eval_times, h, cfg.kernel, linear=True)
 
-    mu, denom, singular = _ll_solve(s0, r0, s1, s2, r1)
+    denom, singular = _ll_design(s0, s1, s2)
     if np.any(singular):
         # Too few stamps imply singular, so the count only names the failure.
         t = float(eval_times[np.argmax(singular)])
         count = np.count_nonzero(np.abs((series.times - t) / h) <= 1.0)
         raise (BandwidthTooSmall if count < 2 else SingularFit)(t, h)
+    mu = (s2[:, None] * r0 - s1[:, None] * r1) / denom[:, None]
     dmu = (s0[:, None] * r1 - s1[:, None] * r0) / (h * denom[:, None])
     return Estimate(eval_times, mu, dmu, _interior_mask(eval_times, h))
 
@@ -205,9 +199,10 @@ def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
     h = cfg.bandwidth
     eval_times, (s0, r0) = _kernel_sums(series, eval_times, h, cfg.kernel,
                                         linear=False)
-    mu, empty = _nw_solve(s0, r0)
+    empty = s0 <= 0.0
     if np.any(empty):
         raise EmptyWindow(float(eval_times[np.argmax(empty)]))
+    mu = r0 / s0[:, None]
     return Estimate(eval_times, mu, None, _interior_mask(eval_times, h))
 
 

@@ -86,7 +86,15 @@ def discretized_norm(rows: np.ndarray, norm: str) -> np.ndarray:
     if norm == "l1":
         return a.mean(axis=1)
     if norm == "l2":
-        return np.sqrt((a * a).mean(axis=1))
+        with np.errstate(over="ignore"):
+            rms = np.sqrt((a * a).mean(axis=1))
+        # Squares overflow past about 1e154 and vanish below 1e-162; rows
+        # whose norm was lost so are summed again, scaled by their max.
+        top = a.max(axis=1)
+        lost = np.isfinite(top) & (top > 0) & ((rms == 0) | ~np.isfinite(rms))
+        scaled = a[lost] / top[lost, None]
+        rms[lost] = top[lost] * np.sqrt((scaled * scaled).mean(axis=1))
+        return rms
     if norm == "sup":
         return a.max(axis=1)
     raise ValueError(f"norm must be one of {NORMS}")

@@ -516,6 +516,23 @@ class TestAnalyze:
                Path(out + "_cusum.csv").read_text().splitlines()[2:]]
         assert max(abs(c) for c in cus) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_l2_residuals_at_extreme_scales(self, runner, tmp_path, scale):
+        inp = str(tmp_path / "in.csv")
+        write_input(inp, scale * np.random.default_rng(8).normal(
+            size=(40, 2)))
+        out = str(tmp_path / "an")
+        res = runner.invoke(main, ["analyze", "--input", inp,
+                                   "--bandwidth", "0.2", "--out", out])
+        assert res.exit_code == 0, res.output
+        json.loads(Path(out + "_peaks.json").read_text(),
+                   parse_constant=reject_constant)
+        z = np.array([float(l.split(",")[1]) for l in
+                      Path(out + "_residuals.csv").read_text()
+                      .splitlines()[2:]])
+        assert np.all(np.isfinite(z)) and np.all(z > 0.0)
+        assert 0.1 < np.median(z) / scale < 10.0
+
     def test_sup_norm_is_row_max(self, runner, tmp_path):
         values = np.zeros((20, 3))
         values[7, 1] = -4.0

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 import ftsmooth as ft
 from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
                       local_linear, nadaraya_watson, nw_derivative)
-from ftsmooth.bandwidth import (CvConfig, _cv_scores, cross_validate,
-                                fold_indices)
+from ftsmooth.bandwidth import (CvConfig, _cv_scores, _equivalent_kernels,
+                                cross_validate, fold_indices)
 from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, FIT_ERRORS,
                                  SingularFit, JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
-                                 _ll_solve, _moment_sums, _windows, fit)
+                                 _ll_design, _moment_sums, _windows, fit)
+from ftsmooth.simulation import SimSpec, gen_series, mu1
 
 K = ft.quartic()
 
@@ -494,10 +495,18 @@ class TestFailureRule:
     @settings(max_examples=300, deadline=None)
     @given(u=window_offsets())
     def test_too_few_stamps_imply_singular(self, kernel, u):
-        sums = _moment_sums(u, np.ones((u.size, 1)), kernel, True)
-        s0, denom = sums[0], _ll_solve(*sums)[1]
+        s0, _, s1, s2, _ = _moment_sums(u, np.ones((u.size, 1)), kernel, True)
         if np.count_nonzero(np.abs(u) <= 1.0) < 2:
-            assert denom <= _SINGULAR_RTOL * s0 ** 2
+            assert _ll_design(s0, s1, s2)[1]
+        # CV's form: the same rule on sums of the unscaled offsets d = u h
+        for h in (1.0, 0.37, 1e-3):
+            d = (u * h)[None, :]
+            powers = np.stack((np.ones_like(d), d, d * d), axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                failed = _equivalent_kernels(d, powers, np.array([[h]]),
+                                             kernel, ("ll",))["ll"][1]
+            if np.count_nonzero(np.abs(d / h) <= 1.0) < 2:
+                assert failed.all()
 
 
     def test_too_few_stamps_is_a_singular_fit(self):
@@ -595,11 +604,8 @@ class TestWindowedSums:
                             np.array([0.0, 0.9, 0.005, 0.7]))
         assert exc.value.t == 0.9
 
-    @pytest.mark.parametrize("estimator", ["ll", "jackknife", "nw"])
-    @pytest.mark.parametrize("n", [50, 500])
-    def test_cv_failures_match_dense(self, n, estimator):
-        rng = np.random.default_rng(n)
-        series = FunctionalSeries.equidistant(rng.normal(size=(n, 2)))
+    @staticmethod
+    def assert_cv_matches_dense(series, estimator):
         report = cross_validate(series, CvConfig(estimator=estimator))
         dense = dense_cv_scores(series, estimator)
         assert np.array_equal(np.isinf(report.scores), np.isinf(dense))
@@ -609,6 +615,26 @@ class TestWindowedSums:
                            rtol=1e-12, atol=0.0)
         if estimator != "nw":
             assert not np.all(finite)
+
+    @pytest.mark.parametrize("estimator", ["ll", "jackknife", "nw"])
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_cv_failures_match_dense(self, n, estimator):
+        rng = np.random.default_rng(n)
+        series = FunctionalSeries.equidistant(rng.normal(size=(n, 2)))
+        self.assert_cv_matches_dense(series, estimator)
+
+    @pytest.mark.parametrize("case, estimator", [
+        ("m100", "ll"), ("m100", "jackknife"), ("m100", "nw"),
+        ("p1024", "ll")])
+    def test_cv_matches_dense_at_large_p(self, case, estimator):
+        # The paper's simulation (m = 100 grid points, with ill-conditioned
+        # boundary windows) and a video-sized frame (p = 1024)
+        if case == "m100":
+            series = gen_series(SimSpec(mu1(), "bm", 200, 100, 1, 0), 0)[0]
+        else:
+            series = FunctionalSeries.equidistant(
+                np.random.default_rng(3).normal(size=(60, 1024)))
+        self.assert_cv_matches_dense(series, estimator)
 
 
 class TestOnePassCv:

@@ -59,6 +59,15 @@ class TestDiscretizedNorm:
         assert discretized_norm(np.array([[3.0, 4.0]]), "l2")[0] \
             == pytest.approx(np.sqrt(12.5))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_l2_neither_overflows_nor_underflows(self, scale):
+        rows = np.array([[3.0, -4.0], [0.0, 0.0], [1.0, 7.0]]) * scale
+        got = discretized_norm(rows, "l2")
+        assert got[0] == pytest.approx(np.sqrt(12.5) * scale, rel=1e-15,
+                                       abs=0.0)
+        assert got[1] == 0.0
+        assert got[2] == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
     def test_l1(self):
         assert discretized_norm(np.array([[-3.0, 4.0]]), "l1")[0] \
             == pytest.approx(3.5)
