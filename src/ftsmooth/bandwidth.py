@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ESTIMATORS, _ll_design, _windows
-from .kernels import _SQRT2, Kernel, quartic
+from .estimators import ESTIMATORS, _equivalent_kernels, _windows
+from .kernels import Kernel, quartic
 from .series import FunctionalSeries
 
 __all__ = ["CvConfig", "CvReport", "AllBandwidthsInvalid",
@@ -61,29 +61,8 @@ def fold_indices(n: int, k: int) -> list[np.ndarray]:
     return [idx[f::k] for f in range(k)]
 
 
-def _equivalent_kernels(d, powers, hs, kernel, names):
-    """{name: (a, failed)}: each named estimator's means are a @ values
-    (its equivalent kernel) at the offsets d (points x stamps), with
-    powers = [1, d, d^2] on a last axis, for each bandwidth of the column
-    hs; failed marks degenerate windows. From the moment sums S = w @ powers
-    (h cancels), ll is w (S2 - S1 d) / (S0 S2 - S1^2), the jackknife
-    2 a(h/sqrt 2) - a(h) and nw w / S0."""
-    w = kernel(d[:, None, :] / hs)
-    s0, s1, s2 = (w @ powers).transpose(2, 0, 1)
-    out = {}
-    if "nw" in names:
-        out["nw"] = w / s0[..., None], s0 <= 0.0
-    if "ll" in names or "jackknife" in names:
-        denom, failed = _ll_design(s0, s1, s2, hs[:, 0])
-        out["ll"] = w * ((s2 / denom)[..., None]
-                         - (s1 / denom)[..., None] * d[:, None, :]), failed
-    if "jackknife" in names:
-        small, failed = _equivalent_kernels(d, powers, hs / _SQRT2, kernel,
-                                            ("ll",))["ll"]
-        out["jackknife"] = 2.0 * small - out["ll"][0], failed | out["ll"][1]
-    return out
-
-
+# Degenerate windows divide by zero or overflow; they score inf.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
     """The grid and each named estimator's CV scores on it, in one pass.
 
@@ -116,16 +95,14 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
             for b in range(0, val.size, step):
                 idx = lo[b:b + step, None] + np.arange(width)
                 d = np.take(t_tr, idx) - t_val[b:b + step, None]
-                powers = np.stack((np.ones_like(d), d, d * d), axis=-1)
                 vals = np.take(v_tr, idx, axis=0)
                 y = v_val[b:b + step, None, :]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    fits = _equivalent_kernels(d, powers, hs, kernel, names)
-                    for name in names:
-                        weights, failed = fits[name]
-                        sse[name][a:a + _GROUP] += np.where(
-                            failed.any(axis=0), np.inf,
-                            ((weights @ vals - y) ** 2).sum((0, 2)))
+                fits = _equivalent_kernels(d, hs, kernel, names)
+                for name in names:
+                    weights, failed = fits[name]
+                    sse[name][a:a + _GROUP] += np.where(
+                        failed.any(axis=0), np.inf,
+                        ((weights[0] @ vals - y) ** 2).sum((0, 2)))
     return grid, {name: sse[name] / (n * p) for name in names}
 
 
@@ -136,9 +113,15 @@ def _select(series: FunctionalSeries, grid, scores) -> CvReport:
             "no candidate bandwidth produced a valid fit on all folds")
     # Smallest h within a hair of the minimum: scores that differ only by
     # rounding noise (exactly reproduced data) count as ties. Scores are in
-    # squared data units, so the hair is relative to the data's mean square.
-    tol = _TIE_RTOL * float(np.mean(series.values ** 2))
-    best = int(np.argmax(scores <= np.min(scores) + tol))
+    # squared data units, so the hair is relative to the data's mean square
+    # (scaled if the squares overflow), and no failed bandwidth ties.
+    with np.errstate(over="ignore"):
+        tol = _TIE_RTOL * float(np.mean(series.values ** 2))
+    if not np.isfinite(tol):
+        scale = float(np.max(np.abs(series.values)))
+        tol = (_TIE_RTOL * float(np.mean((series.values / scale) ** 2))
+               * scale * scale)
+    best = int(np.argmax(scores <= np.nan_to_num(np.min(scores) + tol)))
     return CvReport(grid, scores, float(grid[best]))
 
 

@@ -27,16 +27,19 @@ __all__ = [
     "JACKKNIFE_DERIV_COEF_SMALL", "JACKKNIFE_DERIV_COEF_LARGE",
 ]
 
-# Derivative Jackknife weights sqrt(2)/(sqrt(2)-1) and 1/(sqrt(2)-1);
-# they differ by exactly one.
+# The Jackknife's mean and slope weights: row 0 times the local linear
+# fit's at h/sqrt(2), less row 1 times the fit's at h. The derivative's
+# sqrt(2)/(sqrt(2)-1) and 1/(sqrt(2)-1) differ by exactly one.
 JACKKNIFE_DERIV_COEF_SMALL = _SQRT2 / (_SQRT2 - 1.0)
 JACKKNIFE_DERIV_COEF_LARGE = 1.0 / (_SQRT2 - 1.0)
+_JACKKNIFE = np.reshape([2.0, JACKKNIFE_DERIV_COEF_SMALL,
+                         1.0, JACKKNIFE_DERIV_COEF_LARGE], (2, 2, 1, 1, 1))
 
-# denom <= tol * S0^2 marks a degenerate window; relative in S0 so the
-# test does not depend on the 1/(nh) normalization.
+# denom <= tol * (h S0)^2 marks a degenerate window; relative in h and S0
+# so the test depends on neither the time unit nor the 1/(nh) factor.
 _SINGULAR_RTOL = 1e-12
 
-# Evaluation points per block of the windowed kernel sums.
+# Evaluation points per block of a windowed fit.
 _BLOCK = 32
 # Relative and absolute padding of a window's reach past h (_windows).
 _REACH_RTOL = 1e-12
@@ -99,17 +102,6 @@ class Estimate:
     interior_mask: np.ndarray
 
 
-def _moment_sums(u, values, kernel: Kernel, linear: bool):
-    """[s0, r0], or [s0, r0, s1, s2, r1] when linear, summed over the last
-    axis of the scaled offsets u; values holds the stamps' rows."""
-    w = kernel(u)
-    sums = [w.sum(axis=-1), w @ values]
-    if linear:
-        wu = w * u
-        sums += [wu.sum(axis=-1), (wu * u).sum(axis=-1), wu @ values]
-    return sums
-
-
 def _windows(times, first, last, h: float):
     """Bounds lo, hi of the sorted stamps within h of the points first..last.
 
@@ -123,51 +115,99 @@ def _windows(times, first, last, h: float):
             np.searchsorted(times, last + reach, "right"))
 
 
-def _kernel_sums(series: FunctionalSeries, eval_times, h: float,
-                 kernel: Kernel, linear: bool):
-    """Evaluation points (the stamps if None) and, in _moment_sums' layout,
-    unnormalized kernel sums at each over its window only. The 1/(nh)
-    factor cancels in every estimator and is never applied.
-    Evaluation points are walked in sorted blocks of _BLOCK;
-    each block sums directly over the contiguous training stamps within
-    reach of its span, so memory is O(block x window), not O(n_eval x n).
+def _ll_design(s0, s1, s2, h):
+    """Determinants and degenerate-design mask (which covers < 2 stamps)
+    of local linear fits from moment sums of the offsets at bandwidths h."""
+    denom = s0 * s2 - s1 ** 2
+    return denom, denom <= _SINGULAR_RTOL * (h * s0) ** 2
+
+
+def _equivalent_kernels(d, hs, kernel, names, slope=False):
+    """{name: (weights, failed)} at the offsets d (points x stamps) for
+    each bandwidth of the column hs: weights[0] @ values are the named
+    estimator's means and, with slope (not for nw), weights[1] @ values
+    its slopes, its equivalent kernels (Fan & Gijbels 1996, ch. 3). With
+    kernel weights w and S = w @ [1, d, d^2], ll's are w times the rows of
+    [[S2, -S1], [-S1, S0]] / (S0 S2 - S1^2) applied to [1, d], and nw's
+    w / S0. failed is 0 for a sound fit, else the first failing one of the
+    bandwidths (h/sqrt 2, h) for the jackknife and (h,) otherwise, from 1.
     """
+    powers = np.empty(d.shape + (3,))
+    powers[..., 0] = 1.0
+    powers[..., 1] = d
+    np.multiply(d, d, out=powers[..., 2])
+    d = d[:, None, :]
+
+    def weights_at(hs, names):
+        w = kernel(d / hs)
+        sums = w @ powers
+        out = {}
+        if "nw" in names:
+            out["nw"] = (w / sums[..., :1])[None], sums[..., 0] <= 0.0
+        if "ll" in names or "jackknife" in names:
+            s0, s1, s2 = sums.transpose(2, 0, 1)
+            denom, failed = _ll_design(s0, s1, s2, hs[:, 0])
+            inv = np.array([[s2, -s1], [-s1, s0]][:1 + slope]) / denom
+            # w * (inv[:, 0] + inv[:, 1] * d), computed in place
+            weights = inv[:, 1, ..., None] * d
+            weights += inv[:, 0, ..., None]
+            weights *= w
+            out["ll"] = weights, failed
+        return out
+
+    out = weights_at(hs, names)
+    if "jackknife" in names:
+        small, small_failed = weights_at(hs / _SQRT2, ("ll",))["ll"]
+        large, large_failed = out["ll"]
+        out["jackknife"] = (small * _JACKKNIFE[0, :len(small)]
+                            - large * _JACKKNIFE[1, :len(small)],
+                            np.where(small_failed, 1, 2 * large_failed))
+    return out
+
+
+# Weights exist before the failure check: failing windows divide by zero
+# or overflow, and their rows are never returned.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
+         name: str) -> Estimate:
+    """The named estimator at eval_times (the stamps if None), raising at
+    the first failing point in eval_times order, at h/sqrt(2) before h.
+    Sorted blocks of _BLOCK points each span only the training stamps
+    within their reach, so memory is O(block x window), not O(n_eval x n)."""
     eval_times = np.asarray(
         series.times if eval_times is None else eval_times, dtype=float)
     if eval_times.ndim != 1:
         raise ValueError("eval_times must be a 1d array")
     if not np.all(np.isfinite(eval_times)):
         raise ValueError("eval_times must be finite")
-    times, values = series.times, series.values
+    h, times, values = cfg.bandwidth, series.times, series.values
     order = np.argsort(eval_times, kind="stable")
     ts = eval_times[order]
     ne, p = ts.size, values.shape[1]
-    out = [np.empty(ne), np.empty((ne, p))]
-    if linear:
-        out += [np.empty(ne), np.empty(ne), np.empty((ne, p))]
+    slope = name != "nw"
+    fits, failed = np.empty((1 + slope, ne, p)), np.empty(ne, dtype=int)
 
     starts = np.arange(0, ne, _BLOCK)
     stops = np.minimum(starts + _BLOCK, ne)
     los, his = _windows(times, ts[starts], ts[stops - 1], h)
     for a, b, lo, hi in zip(starts, stops, los, his):
-        u = (times[lo:hi] - ts[a:b, None]) / h
-        sums = _moment_sums(u, values[lo:hi], kernel, linear)
-        for arr, part in zip(out, sums):
-            arr[order[a:b]] = part
-    return eval_times, out
+        weights, bad = _equivalent_kernels(
+            times[lo:hi] - ts[a:b, None], np.array([[h]]), cfg.kernel,
+            (name,), slope)[name]
+        fits[:, order[a:b]] = weights[:, :, 0] @ values[lo:hi]
+        failed[order[a:b]] = bad[:, 0]
 
-
-def _ll_design(s0, s1, s2, h=1.0):
-    """Determinants and the degenerate-design mask (which covers < 2
-    stamps) of local linear fits from kernel moment sums of any shape, in
-    offsets scaled by 1/h (the fits) or unscaled (CV, with h given). The
-    fits and CV share it, so their rules cannot drift."""
-    denom = s0 * s2 - s1 ** 2
-    return denom, denom <= _SINGULAR_RTOL * (h * s0) ** 2
-
-
-def _interior_mask(eval_times: np.ndarray, h: float) -> np.ndarray:
-    return (eval_times >= h) & (eval_times <= 1.0 - h)
+    if name == "nw" and np.any(failed):
+        raise EmptyWindow(float(eval_times[np.argmax(failed)]))
+    for code, bw in enumerate((h / _SQRT2, h) if name == "jackknife"
+                              else (h,), 1):
+        if np.any(failed == code):
+            # Too few stamps imply singular, so the count only names it.
+            t = float(eval_times[np.argmax(failed == code)])
+            count = np.count_nonzero(np.abs((series.times - t) / bw) <= 1.0)
+            raise (BandwidthTooSmall if count < 2 else SingularFit)(t, bw)
+    return Estimate(eval_times, fits[0], fits[1] if slope else None,
+                    (eval_times >= h) & (eval_times <= 1.0 - h))
 
 
 def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
@@ -178,32 +218,13 @@ def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
     points with truncated windows; interior_mask records where the
     untruncated-window guarantees apply.
     """
-    h = cfg.bandwidth
-    eval_times, (s0, r0, s1, s2, r1) = _kernel_sums(
-        series, eval_times, h, cfg.kernel, linear=True)
-
-    denom, singular = _ll_design(s0, s1, s2)
-    if np.any(singular):
-        # Too few stamps imply singular, so the count only names the failure.
-        t = float(eval_times[np.argmax(singular)])
-        count = np.count_nonzero(np.abs((series.times - t) / h) <= 1.0)
-        raise (BandwidthTooSmall if count < 2 else SingularFit)(t, h)
-    mu = (s2[:, None] * r0 - s1[:, None] * r1) / denom[:, None]
-    dmu = (s0[:, None] * r1 - s1[:, None] * r0) / (h * denom[:, None])
-    return Estimate(eval_times, mu, dmu, _interior_mask(eval_times, h))
+    return _fit(series, cfg, eval_times, "ll")
 
 
 def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
                     eval_times: np.ndarray | None = None) -> Estimate:
     """Kernel-weighted local average (mean only)."""
-    h = cfg.bandwidth
-    eval_times, (s0, r0) = _kernel_sums(series, eval_times, h, cfg.kernel,
-                                        linear=False)
-    empty = s0 <= 0.0
-    if np.any(empty):
-        raise EmptyWindow(float(eval_times[np.argmax(empty)]))
-    mu = r0 / s0[:, None]
-    return Estimate(eval_times, mu, None, _interior_mask(eval_times, h))
+    return _fit(series, cfg, eval_times, "nw")
 
 
 def nw_derivative(est: Estimate) -> Estimate:
@@ -223,14 +244,9 @@ def nw_derivative(est: Estimate) -> Estimate:
 
 def jackknife_derivative(series: FunctionalSeries, cfg: SmoothConfig,
                          eval_times: np.ndarray | None = None) -> Estimate:
-    """Bias-reduced mean and derivative from the fits at h and h/sqrt(2)."""
-    small = SmoothConfig(cfg.bandwidth / _SQRT2, cfg.kernel)
-    fit_small = local_linear(series, small, eval_times)
-    fit_large = local_linear(series, cfg, eval_times)
-    dmu = (JACKKNIFE_DERIV_COEF_SMALL * fit_small.dmu_hat
-           - JACKKNIFE_DERIV_COEF_LARGE * fit_large.dmu_hat)
-    mu = 2.0 * fit_small.mu_hat - fit_large.mu_hat
-    return Estimate(fit_large.times, mu, dmu, fit_large.interior_mask)
+    """Bias-reduced mean and derivative from the fits at h and h/sqrt(2),
+    in one pass over the windows of h."""
+    return _fit(series, cfg, eval_times, "jackknife")
 
 
 # The estimators by name, for cross-validation, the simulation and the CLI.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,22 @@ class TestCrossValidate:
             report = cross_validate(s, CvConfig())
             assert int(np.argmin(report.scores)) == 14
             assert report.best_h == report.grid[14]
+
+    @pytest.mark.parametrize("offset, scale", [(100.0, 1e152), (0.0, 1e153)])
+    def test_pick_survives_overflowing_mean_square(self, offset, scale):
+        # The data's mean square overflows, so a tie tolerance taken of the
+        # plain squares is inf and every score, +inf included, ties.
+        n = 200
+        t = np.arange(n) / n
+        unit = (np.c_[np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)]
+                + 0.3 * np.random.default_rng(0).normal(size=(n, 2)))
+        series = ft.FunctionalSeries.equidistant((offset + unit) * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = cross_validate(series, CvConfig())
+        assert np.count_nonzero(np.isfinite(report.scores)) == 15
+        assert int(np.argmin(report.scores)) == 19
+        assert report.best_h == report.grid[19]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-10, 6),

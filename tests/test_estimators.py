@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import ftsmooth as ft
 from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
                       local_linear, nadaraya_watson, nw_derivative)
-from ftsmooth.bandwidth import (CvConfig, _cv_scores, _equivalent_kernels,
-                                cross_validate, fold_indices)
+from ftsmooth.bandwidth import (CvConfig, _cv_scores, cross_validate,
+                                fold_indices)
 from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, FIT_ERRORS,
                                  SingularFit, JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
-                                 _ll_design, _moment_sums, _windows, fit)
+                                 _equivalent_kernels, _windows, fit)
 from ftsmooth.simulation import SimSpec, gen_series, mu1
 
 K = ft.quartic()
@@ -495,19 +495,16 @@ class TestFailureRule:
     @settings(max_examples=300, deadline=None)
     @given(u=window_offsets())
     def test_too_few_stamps_imply_singular(self, kernel, u):
-        s0, _, s1, s2, _ = _moment_sums(u, np.ones((u.size, 1)), kernel, True)
-        if np.count_nonzero(np.abs(u) <= 1.0) < 2:
-            assert _ll_design(s0, s1, s2)[1]
-        # CV's form: the same rule on sums of the unscaled offsets d = u h
+        # The rule on sums of the unscaled offsets d = u h; at h = 1 they
+        # are the scaled offsets u themselves.
         for h in (1.0, 0.37, 1e-3):
             d = (u * h)[None, :]
-            powers = np.stack((np.ones_like(d), d, d * d), axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                failed = _equivalent_kernels(d, powers, np.array([[h]]),
-                                             kernel, ("ll",))["ll"][1]
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                failed = _equivalent_kernels(d, np.array([[h]]), kernel,
+                                             ("ll",))["ll"][1]
             if np.count_nonzero(np.abs(d / h) <= 1.0) < 2:
                 assert failed.all()
-
 
     def test_too_few_stamps_is_a_singular_fit(self):
         assert issubclass(BandwidthTooSmall, SingularFit)
@@ -527,6 +524,25 @@ class TestFailureRule:
         assert exc.value.t == eval_times[i]
         assert type(exc.value) is (BandwidthTooSmall if counts[i] < 2
                                    else SingularFit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=failure_cases())
+    def test_jackknife_names_the_small_bandwidth_first(self, case):
+        # The first failure at h / sqrt(2) in eval_times order, if any,
+        # else the first at h.
+        series, h, eval_times = case
+        for bw in (h / np.sqrt(2.0), h):
+            fails, counts = dense_ll_failures(series, eval_times, bw)
+            if np.any(fails):
+                i = np.argmax(fails)
+                with pytest.raises(SingularFit) as exc:
+                    jackknife_derivative(series, SmoothConfig(h), eval_times)
+                assert exc.value.t == eval_times[i]
+                assert exc.value.bandwidth == bw
+                assert type(exc.value) is (BandwidthTooSmall if counts[i] < 2
+                                           else SingularFit)
+                return
+        jackknife_derivative(series, SmoothConfig(h), eval_times)
 
 
 @st.composite
@@ -565,16 +581,26 @@ class TestWindowedSums:
 
     @pytest.mark.parametrize("kernel", [K, tabulated_quartic()],
                              ids=["quartic", "custom"])
-    @pytest.mark.parametrize("k", [3, 7])
-    def test_matches_pointwise_weight_stats(self, kernel, k):
+    @pytest.mark.parametrize("k, case", [
+        (3, "p3"), (7, "p3"), (3, "m100"), (7, "m100"), (3, "p1024"),
+        (7, "p1024")],
+        ids=["3", "7", "3-m100", "7-m100", "3-p1024", "7-p1024"])
+    def test_matches_pointwise_weight_stats(self, kernel, k, case):
         # a CV-style training set (every 5th stamp held out) and h = k/n,
-        # so many stamps sit exactly h away from an evaluation point
-        n = 300
+        # so many stamps sit exactly h away from an evaluation point; the
+        # paper's simulation (m = 100) and a video-sized frame (p = 1024)
+        n = {"p3": 300, "m100": 200, "p1024": 60}[case]
         rng = np.random.default_rng(k)
         keep = np.setdiff1d(np.arange(n), np.arange(0, n, 5))
-        series = FunctionalSeries(np.arange(n)[keep] / n,
-                                  rng.normal(size=(keep.size, 3)),
-                                  ft.ValueGrid(1, 3))
+        if case == "p3":
+            values = rng.normal(size=(keep.size, 3))
+        elif case == "m100":
+            values = gen_series(SimSpec(mu1(), "bm", n, 100, 1, 0),
+                                0)[0].values[keep]
+        else:
+            values = rng.normal(size=(n, 1024))[keep]
+        series = FunctionalSeries(np.arange(n)[keep] / n, values,
+                                  ft.ValueGrid(1, values.shape[1]))
         h = k / n
         stamps = np.arange(n) / n
         eval_times = rng.permutation(np.concatenate([
@@ -583,11 +609,18 @@ class TestWindowedSums:
         assert np.any(np.diff(eval_times) < 0)
         cfg = SmoothConfig(h, kernel)
         ll = local_linear(series, cfg, eval_times)
+        jk = jackknife_derivative(series, cfg, eval_times)
         nw = nadaraya_watson(series, cfg, eval_times)
         mu, dmu = dense_fit(series, eval_times, h, "ll", kernel)
+        small_mu, small_dmu = dense_fit(series, eval_times, h / np.sqrt(2.0),
+                                        "ll", kernel)
         nw_mu, _ = dense_fit(series, eval_times, h, "nw", kernel)
         assert np.max(np.abs(ll.mu_hat - mu)) <= 1e-10
         assert np.max(np.abs(ll.dmu_hat - dmu)) * h <= 1e-10
+        assert np.max(np.abs(jk.mu_hat - (2.0 * small_mu - mu))) <= 1e-10
+        assert np.max(np.abs(
+            jk.dmu_hat - (JACKKNIFE_DERIV_COEF_SMALL * small_dmu
+                          - JACKKNIFE_DERIV_COEF_LARGE * dmu))) * h <= 1e-10
         assert np.max(np.abs(nw.mu_hat - nw_mu)) <= 1e-10
 
     def test_unsorted_errors_name_the_same_point(self):
