@@ -77,9 +77,9 @@ def cusum(z) -> CusumResult:
     k = np.arange(1, n + 1)
     process = (csum - k / n * csum[-1]) / np.sqrt(n)
     # smallest index attaining the max; values within rounding noise of
-    # the max count as ties (a constant series is genuinely flat)
+    # the data's scale count as ties (a constant series is genuinely flat)
     absproc = np.abs(process)
-    tol = 1e-12 * max(1.0, float(absproc.max()))
+    tol = 1e-12 * np.sqrt(n) * float(np.max(np.abs(z)))
     amax = int(np.argmax(absproc >= absproc.max() - tol))
     return CusumResult(process, amax, float(process[amax]))
 

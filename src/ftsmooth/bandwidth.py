@@ -8,7 +8,7 @@ import numpy as np
 
 from .estimators import ESTIMATORS, _equivalent_kernels, _windows
 from .kernels import Kernel, quartic
-from .series import FunctionalSeries
+from .series import FunctionalSeries, pow2_scaled
 
 __all__ = ["CvConfig", "CvReport", "AllBandwidthsInvalid",
            "bandwidth_grid", "cross_validate"]
@@ -64,7 +64,8 @@ def fold_indices(n: int, k: int) -> list[np.ndarray]:
 # Degenerate windows divide by zero or overflow; they score inf.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
-    """The grid and each named estimator's CV scores on it, in one pass.
+    """The grid and each named estimator's CV scores on it, in one pass:
+    the scores of the pow2_scaled values, which _select scales back.
 
     Per fold, the grid is walked in groups of _GROUP bandwidths; each
     held-out stamp sums over its own W training stamps from its first
@@ -77,11 +78,11 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
     if cfg.k > n // 4:
         raise ValueError("k must be <= n/4")
     grid = bandwidth_grid(n, cfg.grid_size)
+    values = pow2_scaled(series.values)[0]
     sse = {name: np.zeros(grid.size) for name in names}  # inf: failed
     for val in fold_indices(n, cfg.k):
-        t_tr, v_tr = np.delete(series.times, val), np.delete(series.values,
-                                                             val, axis=0)
-        t_val, v_val = series.times[val], series.values[val]
+        t_tr, t_val = np.delete(series.times, val), series.times[val]
+        v_tr, v_val = np.delete(values, val, axis=0), values[val]
         for a in range(0, grid.size, _GROUP):
             hs = grid[a:a + _GROUP, None]
             lo, hi = _windows(t_tr, t_val, t_val, hs[-1, 0])
@@ -107,22 +108,19 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
 
 
 def _select(series: FunctionalSeries, grid, scores) -> CvReport:
-    """The report picking the smallest near-minimal bandwidth."""
+    """The report, in data units, picking the smallest near-minimal h."""
     if not np.any(np.isfinite(scores)):
         raise AllBandwidthsInvalid(
             "no candidate bandwidth produced a valid fit on all folds")
     # Smallest h within a hair of the minimum: scores that differ only by
-    # rounding noise (exactly reproduced data) count as ties. Scores are in
-    # squared data units, so the hair is relative to the data's mean square
-    # (scaled if the squares overflow), and no failed bandwidth ties.
+    # rounding noise (exactly reproduced data) count as ties. Scores and
+    # hair are in scaled units, so no failed bandwidth ties, and the pick
+    # stands where a score in data units leaves the float range (inf or 0).
+    values, e = pow2_scaled(series.values)
+    tol = _TIE_RTOL * float(np.mean(values ** 2))
+    best = int(np.argmax(scores <= np.min(scores) + tol))
     with np.errstate(over="ignore"):
-        tol = _TIE_RTOL * float(np.mean(series.values ** 2))
-    if not np.isfinite(tol):
-        scale = float(np.max(np.abs(series.values)))
-        tol = (_TIE_RTOL * float(np.mean((series.values / scale) ** 2))
-               * scale * scale)
-    best = int(np.argmax(scores <= np.nan_to_num(np.min(scores) + tol)))
-    return CvReport(grid, scores, float(grid[best]))
+        return CvReport(grid, np.ldexp(scores, 2 * e), float(grid[best]))
 
 
 def cross_validate(series: FunctionalSeries, cfg: CvConfig,

@@ -79,6 +79,14 @@ class FunctionalSeries:
         return self.values.shape[1]
 
 
+def pow2_scaled(a: np.ndarray, axis=None):
+    """(a / 2**e, e), 2**(e-1) <= max |a| < 2**e per row along axis or over
+    all of a (e = 0 for zeros). Exact, so sums of squares of a / 2**e do not
+    overflow or vanish, and scale back by 2**(2 e) (Blue, ACM TOMS 1978)."""
+    e = np.frexp(np.max(np.abs(a), axis=axis, keepdims=True))[1]
+    return np.ldexp(a, -e), e.squeeze(axis)
+
+
 def discretized_norm(rows: np.ndarray, norm: str) -> np.ndarray:
     """Row-wise discretized norm: l1 mean |.|, l2 root mean square, sup max |.|."""
     rows = np.atleast_2d(rows)
@@ -86,15 +94,8 @@ def discretized_norm(rows: np.ndarray, norm: str) -> np.ndarray:
     if norm == "l1":
         return a.mean(axis=1)
     if norm == "l2":
-        with np.errstate(over="ignore"):
-            rms = np.sqrt((a * a).mean(axis=1))
-        # Squares overflow past about 1e154 and vanish below 1e-162; rows
-        # whose norm was lost so are summed again, scaled by their max.
-        top = a.max(axis=1)
-        lost = np.isfinite(top) & (top > 0) & ((rms == 0) | ~np.isfinite(rms))
-        scaled = a[lost] / top[lost, None]
-        rms[lost] = top[lost] * np.sqrt((scaled * scaled).mean(axis=1))
-        return rms
+        scaled, e = pow2_scaled(rows, axis=1)
+        return np.ldexp(np.sqrt((scaled * scaled).mean(axis=1)), e)
     if norm == "sup":
         return a.max(axis=1)
     raise ValueError(f"norm must be one of {NORMS}")

@@ -113,6 +113,13 @@ class TestCusum:
         assert np.max(np.abs(a.process - b.process)) <= 1e-10
         assert a.argmax_index == b.argmax_index
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-12, 1e-14, 1e-20])
+    def test_argmax_invariant_under_data_scale(self, scale):
+        z = np.random.default_rng(0).normal(size=200)
+        z[120:] += 1.0
+        assert cusum(z * scale).argmax_index == cusum(z).argmax_index
+        assert cusum(np.full(50, 3.3 * scale)).argmax_index == 0
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             cusum(np.array([1.0]))

@@ -122,6 +122,24 @@ class TestCrossValidate:
         assert int(np.argmin(report.scores)) == 19
         assert report.best_h == report.grid[19]
 
+    @pytest.mark.parametrize("estimator", ["ll", "jackknife", "nw"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-200, 2.0 ** -600],
+                             ids=["1e200", "1e-170", "1e-200", "2^-600"])
+    def test_choice_invariant_at_extreme_scales(self, scale, estimator):
+        # Squared residuals overflow at 1e200 and underflow at the others
+        # unless the values are scaled before squaring.
+        n = 60
+        t = np.arange(n) / n
+        unit = (np.c_[np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)]
+                + 0.3 * np.random.default_rng(0).normal(size=(n, 2)))
+        cfg = CvConfig(estimator=estimator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = cross_validate(
+                ft.FunctionalSeries.equidistant(unit * scale), cfg)
+        assert report.best_h == cross_validate(
+            ft.FunctionalSeries.equidistant(unit), cfg).best_h
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-10, 6),
            estimator=st.sampled_from(["ll", "jackknife", "nw"]))

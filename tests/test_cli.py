@@ -355,6 +355,25 @@ class TestCv:
         assert [s is None for s in report["scores"]] == \
             np.isinf(scores).tolist()
 
+    @pytest.mark.filterwarnings("error")
+    def test_pick_survives_scores_beyond_float_range(self, runner, tmp_path):
+        # At 1e200 the scores in data units (about 1e400) read inf and null,
+        # and best_h is still the pick of the unscaled data.
+        values = np.random.default_rng(1).normal(size=(60, 2))
+        best_h = []
+        for scale in (1.0, 1e200):
+            inp, out = str(tmp_path / "in.csv"), str(tmp_path / "cv")
+            write_input(inp, values * scale)
+            res = runner.invoke(main, ["cv", "--input", inp, "--out", out])
+            assert res.exit_code == 0, res.output
+            report = json.loads(Path(out + "_cv.json").read_text(),
+                                parse_constant=reject_constant)
+            best_h.append(report["best_h"])
+        assert best_h[0] == best_h[1]
+        assert report["scores"] == [None] * 20
+        scores = np.loadtxt(out + "_cv.csv", delimiter=",", skiprows=2)[:, 1]
+        assert np.all(np.isposinf(scores))
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")
         write_input(inp, np.random.default_rng(1).normal(size=(60, 1)))

@@ -59,7 +59,7 @@ class TestDiscretizedNorm:
         assert discretized_norm(np.array([[3.0, 4.0]]), "l2")[0] \
             == pytest.approx(np.sqrt(12.5))
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-158, 1e-160])
     def test_l2_neither_overflows_nor_underflows(self, scale):
         rows = np.array([[3.0, -4.0], [0.0, 0.0], [1.0, 7.0]]) * scale
         got = discretized_norm(rows, "l2")
