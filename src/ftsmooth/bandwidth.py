@@ -13,8 +13,8 @@ from .series import FunctionalSeries, pow2_scaled
 __all__ = ["CvConfig", "CvReport", "AllBandwidthsInvalid",
            "bandwidth_grid", "cross_validate"]
 
-# Relative tie tolerance of CV scores, in units of the data's mean square.
-_TIE_RTOL = 1e-15
+# Relative tie tolerance of CV's RMS residuals, in units of the data's RMS.
+_TIE_RTOL = 1e-12
 
 # Bandwidths per group of the CV pass, and the element cap of its work
 # arrays: points are taken in chunks small enough for both.
@@ -63,9 +63,9 @@ def fold_indices(n: int, k: int) -> list[np.ndarray]:
 
 # Degenerate windows divide by zero or overflow; they score inf.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
-    """The grid and each named estimator's CV scores on it, in one pass:
-    the scores of the pow2_scaled values, which _select scales back.
+def _cv_reports(series: FunctionalSeries, cfg: CvConfig, names, kernel):
+    """Each named estimator's CvReport, or the AllBandwidthsInvalid that
+    cross_validate raises for it, from one pass over the pow2_scaled values.
 
     Per fold, the grid is walked in groups of _GROUP bandwidths; each
     held-out stamp sums over its own W training stamps from its first
@@ -78,7 +78,7 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
     if cfg.k > n // 4:
         raise ValueError("k must be <= n/4")
     grid = bandwidth_grid(n, cfg.grid_size)
-    values = pow2_scaled(series.values)[0]
+    values, e = pow2_scaled(series.values)
     sse = {name: np.zeros(grid.size) for name in names}  # inf: failed
     for val in fold_indices(n, cfg.k):
         t_tr, t_val = np.delete(series.times, val), series.times[val]
@@ -104,23 +104,21 @@ def _cv_scores(series: FunctionalSeries, cfg: CvConfig, names, kernel):
                     sse[name][a:a + _GROUP] += np.where(
                         failed.any(axis=0), np.inf,
                         ((weights[0] @ vals - y) ** 2).sum((0, 2)))
-    return grid, {name: sse[name] / (n * p) for name in names}
-
-
-def _select(series: FunctionalSeries, grid, scores) -> CvReport:
-    """The report, in data units, picking the smallest near-minimal h."""
-    if not np.any(np.isfinite(scores)):
-        raise AllBandwidthsInvalid(
-            "no candidate bandwidth produced a valid fit on all folds")
-    # Smallest h within a hair of the minimum: scores that differ only by
-    # rounding noise (exactly reproduced data) count as ties. Scores and
-    # hair are in scaled units, so no failed bandwidth ties, and the pick
-    # stands where a score in data units leaves the float range (inf or 0).
-    values, e = pow2_scaled(series.values)
-    tol = _TIE_RTOL * float(np.mean(values ** 2))
-    best = int(np.argmax(scores <= np.min(scores) + tol))
-    with np.errstate(over="ignore"):
-        return CvReport(grid, np.ldexp(scores, 2 * e), float(grid[best]))
+    # Smallest h whose RMS residual is within a hair, far above rounding
+    # (a few eps times the data's RMS), of the minimum's. In scaled units no
+    # failed h ties, and the pick stands where data-unit scores read inf or 0.
+    hair = _TIE_RTOL * float(np.sqrt(np.mean(values ** 2)))
+    reports = {}
+    for name in names:
+        scores = sse[name] / (n * p)
+        if not np.any(np.isfinite(scores)):
+            reports[name] = AllBandwidthsInvalid(
+                "no candidate bandwidth produced a valid fit on all folds")
+            continue
+        best = int(np.argmax(np.sqrt(scores) <= np.sqrt(scores.min()) + hair))
+        reports[name] = CvReport(grid, np.ldexp(scores, 2 * e),
+                                 float(grid[best]))
+    return reports
 
 
 def cross_validate(series: FunctionalSeries, cfg: CvConfig,
@@ -134,5 +132,7 @@ def cross_validate(series: FunctionalSeries, cfg: CvConfig,
     Ties are broken toward the smallest bandwidth. The whole grid is
     scored in one streamed pass per fold, with memory bounded at any n.
     """
-    grid, scores = _cv_scores(series, cfg, (cfg.estimator,), kernel)
-    return _select(series, grid, scores[cfg.estimator])
+    (report,) = _cv_reports(series, cfg, (cfg.estimator,), kernel).values()
+    if isinstance(report, AllBandwidthsInvalid):
+        raise report
+    return report

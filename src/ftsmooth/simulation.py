@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import mae, mse
-from .bandwidth import AllBandwidthsInvalid, CvConfig, _cv_scores, _select
+from .bandwidth import CvConfig, _cv_reports
 from .estimators import ESTIMATORS, FIT_ERRORS, SmoothConfig, fit
 from .kernels import Kernel, quartic
 from .series import FunctionalSeries
@@ -237,16 +237,16 @@ class ResultsTable:
 def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
              kernel: Kernel):
     series, truth_mu, truth_dmu = gen_series(spec, rep)
-    grid, scores = _cv_scores(series, cv, estimators, kernel)
-    out = {}
-    for name in estimators:
+    out = _cv_reports(series, cv, estimators, kernel)  # failures as values
+    for name, report in out.items():
+        if isinstance(report, Exception):
+            continue
         try:
-            report = _select(series, grid, scores[name])
             t0 = time.perf_counter()
             est = fit(name, series, SmoothConfig(report.best_h, kernel),
                       derivative=True)
             fit_ms = (time.perf_counter() - t0) * 1e3
-        except FIT_ERRORS + (AllBandwidthsInvalid,) as exc:
+        except FIT_ERRORS as exc:
             out[name] = exc
             continue
         out[name] = (mse(est.mu_hat, truth_mu), mae(est.mu_hat, truth_mu),

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ftsmooth as ft
@@ -140,19 +140,45 @@ class TestCrossValidate:
         assert report.best_h == cross_validate(
             ft.FunctionalSeries.equidistant(unit), cfg).best_h
 
-    @settings(max_examples=20, deadline=None)
+    @staticmethod
+    def noisy_sine(seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(40) / 40
+        return np.sin(2 * np.pi * t)[:, None] + rng.normal(size=(40, 2))
+
+    @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-10, 6),
            estimator=st.sampled_from(["ll", "jackknife", "nw"]))
+    @example(seed=6456, k=1, estimator="nw")
     def test_choice_invariant_under_data_scale(self, seed, k, estimator):
-        rng = np.random.default_rng(seed)
-        n = 40
-        t = np.arange(n) / n
-        values = np.sin(2 * np.pi * t)[:, None] + rng.normal(size=(n, 2))
+        values = self.noisy_sine(seed)
         series = ft.FunctionalSeries.equidistant(values)
         scaled = ft.FunctionalSeries.equidistant(values * 10.0 ** k)
         cfg = CvConfig(estimator=estimator)
         assert (cross_validate(scaled, cfg).best_h
                 == cross_validate(series, cfg).best_h)
+
+    @pytest.mark.parametrize("k", range(-10, 7))
+    def test_exact_tie_picks_its_smallest_bandwidth(self, k):
+        # At grid indices 1-7 (1/n < h < 2/n) each held-out stamp's nw fit
+        # averages its two neighbours at +-1/n, so their scores tie in exact
+        # arithmetic and their roots differ by rounding only (up to
+        # 1.6e-15 times the data's RMS).
+        series = ft.FunctionalSeries.equidistant(
+            self.noisy_sine(6456) * 10.0 ** k)
+        report = cross_validate(series, CvConfig(estimator="nw"))
+        assert report.best_h == report.grid[1]
+
+    @pytest.mark.parametrize("estimator", ["ll", "jackknife", "nw"])
+    def test_choice_invariant_under_data_offset(self, estimator):
+        # Every estimator reproduces constants, so an offset leaves the
+        # scores as they were up to rounding, which grows with the offset.
+        cfg = CvConfig(estimator=estimator)
+        for seed in range(5):
+            values = self.noisy_sine(seed)
+            shifted = ft.FunctionalSeries.equidistant(values + 1e6)
+            assert (cross_validate(shifted, cfg).best_h == cross_validate(
+                ft.FunctionalSeries.equidistant(values), cfg).best_h)
 
     def test_determinism(self):
         rng = np.random.default_rng(9)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import ftsmooth as ft
 from ftsmooth import (FunctionalSeries, SmoothConfig, jackknife_derivative,
                       local_linear, nadaraya_watson, nw_derivative)
-from ftsmooth.bandwidth import (CvConfig, _cv_scores, _select,
-                                cross_validate, fold_indices)
+from ftsmooth.bandwidth import (CvConfig, _cv_reports, cross_validate,
+                                fold_indices)
 from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, FIT_ERRORS,
                                  SingularFit, JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
@@ -688,16 +688,17 @@ class TestOnePassCv:
         series = FunctionalSeries(times, rng.normal(size=(n, 3)),
                                   ft.ValueGrid(1, 3))
         alone = {name: cross_validate(series, CvConfig(estimator=name),
-                                      kernel).scores
+                                      kernel)
                  for name in ESTIMATORS}
         for size in (1, 2, 3):
             for names in itertools.combinations(ESTIMATORS, size):
-                grid, scores = _cv_scores(series, CvConfig(), names, kernel)
-                assert np.array_equal(grid, ft.bandwidth_grid(n))
-                for name in names:  # in data units, as the simulation's
-                    assert np.array_equal(
-                        _select(series, grid, scores[name]).scores,
-                        alone[name])
+                reports = _cv_reports(series, CvConfig(), names, kernel)
+                for name in names:  # the simulation's reports
+                    assert np.array_equal(reports[name].grid,
+                                          ft.bandwidth_grid(n))
+                    assert np.array_equal(reports[name].scores,
+                                          alone[name].scores)
+                    assert reports[name].best_h == alone[name].best_h
 
 
 class TestBoundedMemory:
