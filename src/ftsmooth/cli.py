@@ -49,9 +49,9 @@ def _load_config(ctx: click.Context, param: click.Parameter, path):
     unknown = set(data) - {p.name for p in ctx.command.params} - {param.name}
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    if any(isinstance(v, (dict, list)) for v in data.values()):
+    if any(v is None or isinstance(v, (dict, list)) for v in data.values()):
         raise click.UsageError(f"config {path}: values must be scalars")
-    ctx.default_map = {k: v if v is None else str(v) for k, v in data.items()}
+    ctx.default_map = {k: str(v) for k, v in data.items()}
 
 
 def _fail(code: int, exc: BaseException) -> None:

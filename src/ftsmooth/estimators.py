@@ -115,13 +115,6 @@ def _windows(times, first, last, h: float):
             np.searchsorted(times, last + reach, "right"))
 
 
-def _ll_design(s0, s1, s2, h):
-    """Determinants and degenerate-design mask (which covers < 2 stamps)
-    of local linear fits from moment sums of the offsets at bandwidths h."""
-    denom = s0 * s2 - s1 ** 2
-    return denom, denom <= _SINGULAR_RTOL * (h * s0) ** 2
-
-
 def _equivalent_kernels(d, hs, kernel, names, slope=False):
     """{name: (weights, failed)} at the offsets d (points x stamps) for
     each bandwidth of the column hs: weights[0] @ values are the named
@@ -129,8 +122,9 @@ def _equivalent_kernels(d, hs, kernel, names, slope=False):
     its slopes, its equivalent kernels (Fan & Gijbels 1996, ch. 3). With
     kernel weights w and S = w @ [1, d, d^2], ll's are w times the rows of
     [[S2, -S1], [-S1, S0]] / (S0 S2 - S1^2) applied to [1, d], and nw's
-    w / S0. failed is 0 for a sound fit, else the first failing one of the
-    bandwidths (h/sqrt 2, h) for the jackknife and (h,) otherwise, from 1.
+    w / S0. failed is 0.0 for a sound window, else the bandwidth at which it
+    fails: nw's when S0 <= 0, ll's when its design is degenerate (which
+    covers < 2 stamps), the jackknife's h/sqrt(2) before h.
     """
     powers = np.empty(d.shape + (3,))
     powers[..., 0] = 1.0
@@ -143,16 +137,18 @@ def _equivalent_kernels(d, hs, kernel, names, slope=False):
         sums = w @ powers
         out = {}
         if "nw" in names:
-            out["nw"] = (w / sums[..., :1])[None], sums[..., 0] <= 0.0
+            out["nw"] = ((w / sums[..., :1])[None],
+                         np.where(sums[..., 0] <= 0.0, hs[:, 0], 0.0))
         if "ll" in names or "jackknife" in names:
             s0, s1, s2 = sums.transpose(2, 0, 1)
-            denom, failed = _ll_design(s0, s1, s2, hs[:, 0])
+            denom = s0 * s2 - s1 ** 2
             inv = np.array([[s2, -s1], [-s1, s0]][:1 + slope]) / denom
             # w * (inv[:, 0] + inv[:, 1] * d), computed in place
             weights = inv[:, 1, ..., None] * d
             weights += inv[:, 0, ..., None]
             weights *= w
-            out["ll"] = weights, failed
+            out["ll"] = weights, np.where(
+                denom <= _SINGULAR_RTOL * (hs[:, 0] * s0) ** 2, hs[:, 0], 0.0)
         return out
 
     out = weights_at(hs, names)
@@ -161,7 +157,7 @@ def _equivalent_kernels(d, hs, kernel, names, slope=False):
         large, large_failed = out["ll"]
         out["jackknife"] = (small * _JACKKNIFE[0, :len(small)]
                             - large * _JACKKNIFE[1, :len(small)],
-                            np.where(small_failed, 1, 2 * large_failed))
+                            np.where(small_failed, small_failed, large_failed))
     return out
 
 
@@ -171,7 +167,7 @@ def _equivalent_kernels(d, hs, kernel, names, slope=False):
 def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
          name: str) -> Estimate:
     """The named estimator at eval_times (the stamps if None), raising at
-    the first failing point in eval_times order, at h/sqrt(2) before h.
+    the smallest failing bandwidth's first point in eval_times order.
     Sorted blocks of _BLOCK points each span only the training stamps
     within their reach, so memory is O(block x window), not O(n_eval x n)."""
     eval_times = np.asarray(
@@ -185,7 +181,7 @@ def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
     ts = eval_times[order]
     ne, p = ts.size, values.shape[1]
     slope = name != "nw"
-    fits, failed = np.empty((1 + slope, ne, p)), np.empty(ne, dtype=int)
+    fits, failed = np.empty((1 + slope, ne, p)), np.empty(ne)
 
     starts = np.arange(0, ne, _BLOCK)
     stops = np.minimum(starts + _BLOCK, ne)
@@ -197,15 +193,14 @@ def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
         fits[:, order[a:b]] = weights[:, :, 0] @ values[lo:hi]
         failed[order[a:b]] = bad[:, 0]
 
-    if name == "nw" and np.any(failed):
-        raise EmptyWindow(float(eval_times[np.argmax(failed)]))
-    for code, bw in enumerate((h / _SQRT2, h) if name == "jackknife"
-                              else (h,), 1):
-        if np.any(failed == code):
-            # Too few stamps imply singular, so the count only names it.
-            t = float(eval_times[np.argmax(failed == code)])
-            count = np.count_nonzero(np.abs((series.times - t) / bw) <= 1.0)
-            raise (BandwidthTooSmall if count < 2 else SingularFit)(t, bw)
+    if np.any(failed):
+        bw = float(failed[failed > 0.0].min())
+        t = float(eval_times[np.argmax(failed == bw)])
+        if name == "nw":
+            raise EmptyWindow(t)
+        # Too few stamps imply singular, so the count only names it.
+        count = np.count_nonzero(np.abs((series.times - t) / bw) <= 1.0)
+        raise (BandwidthTooSmall if count < 2 else SingularFit)(t, bw)
     return Estimate(eval_times, fits[0], fits[1] if slope else None,
                     (eval_times >= h) & (eval_times <= 1.0 - h))
 
@@ -249,9 +244,8 @@ def jackknife_derivative(series: FunctionalSeries, cfg: SmoothConfig,
     return _fit(series, cfg, eval_times, "jackknife")
 
 
-# The estimators by name, for cross-validation, the simulation and the CLI.
-ESTIMATORS = {"ll": local_linear, "jackknife": jackknife_derivative,
-              "nw": nadaraya_watson}
+# The estimators' names, for fit, cross-validation, the simulation and the CLI.
+ESTIMATORS = ("ll", "jackknife", "nw")
 
 # A fit raises one of these when the bandwidth is unusable for the data.
 FIT_ERRORS = (SingularFit, EmptyWindow)
@@ -259,12 +253,12 @@ FIT_ERRORS = (SingularFit, EmptyWindow)
 
 def fit(name: str, series: FunctionalSeries, cfg: SmoothConfig,
         derivative: bool = False) -> Estimate:
-    """Fit the estimator registered as name.
+    """Fit the estimator named name, one of ESTIMATORS, at the stamps.
 
     With derivative, an estimate that carries no derivative of its own
     gets the finite-difference one of nw_derivative.
     """
-    est = ESTIMATORS[name](series, cfg)
+    est = _fit(series, cfg, None, name)
     if derivative and est.dmu_hat is None:
         est = nw_derivative(est)
     return est

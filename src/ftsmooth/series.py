@@ -65,8 +65,10 @@ class FunctionalSeries:
 
     @classmethod
     def equidistant(cls, values) -> "FunctionalSeries":
-        """Series of single curves on the stamps i/n, i = 0, ..., n-1."""
-        values = np.atleast_2d(np.asarray(values, dtype=float))
+        """Series of single curves on the stamps i/n, i = 0, ..., n-1; a 1d
+        array is n observations of one value."""
+        values = np.asarray(values, dtype=float)
+        values = values.reshape(-1, 1) if values.ndim < 2 else values
         n, p = values.shape
         return cls(np.arange(n) / n, values, ValueGrid(1, p))
 

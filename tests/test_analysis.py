@@ -164,6 +164,10 @@ class TestDetectPeaks:
         # A negative finite multiplier is still a threshold below the median.
         assert detect_peaks(z, threshold_multiplier=-1e9) == [(0, 59)]
 
+    def test_too_short(self):
+        with pytest.raises(ValueError, match="need at least 3 observations"):
+            detect_peaks(np.array([1.0, 2.0]))
+
 
 class TestSlidingEmbed:
     def test_stride_window_labels(self):
@@ -196,6 +200,10 @@ class TestSlidingEmbed:
     def test_too_short(self):
         with pytest.raises(InputTooShort):
             sliding_embed(np.arange(5.0), stride=5, m=3)
+
+    def test_zero_stride_rejected(self):
+        with pytest.raises(ValueError, match="stride and m must be >= 1"):
+            sliding_embed(np.arange(5.0), stride=0, m=1)
 
     @pytest.mark.parametrize("big_n,d,stride,m", [
         (100, 3, 5, 2), (50, 1, 1, 1), (1000, 2, 5, 50), (37, 4, 2, 3)])

@@ -145,6 +145,9 @@ class TestSimulate:
         assert res.exit_code == 2
 
 
+_TWO_ROWS = "t,x0\n0.0,1.0\n0.5,2.0\n"
+
+
 class TestSmooth:
     def test_constant_passthrough(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")
@@ -290,7 +293,7 @@ class TestSmooth:
         assert os.listdir(tmp_path) == ["in.csv"]
 
     @pytest.mark.parametrize("meta", [{"d": "x"}, {"d": None}, {"d": 2.7},
-                                      {"d": True}, 5])
+                                      {"d": True}, 5, {"d": 1, "q": 2}])
     def test_bad_sidecar_exits_3(self, runner, tmp_path, meta):
         inp = str(tmp_path / "in.csv")
         write_input(inp, np.zeros((20, 2)))
@@ -301,6 +304,38 @@ class TestSmooth:
         assert res.exit_code == 3
         assert "error: MalformedInput:" in res.output
         assert not os.path.exists(out + "_mu.csv")
+
+    @pytest.mark.parametrize("files, meta, message", [
+        ({"in.csv": "t,x0\n0.0,1.0\n"}, None,
+         "in.csv: need at least 2 data rows"),
+        ({"in.csv": "0.0\n0.5\n"}, None,
+         "in.csv: rows need at least 2 columns"),
+        ({}, None, "cannot read in.csv: "),
+        ({"in.csv": _TWO_ROWS}, "m.json", "cannot read sidecar m.json: "),
+        ({"in.csv": _TWO_ROWS, "m.json": "{"}, "m.json",
+         "cannot read sidecar m.json: "),
+    ], ids=["one-row", "one-column", "no-input", "no-meta", "bad-meta-json"])
+    def test_unreadable_input_exits_3(self, runner, tmp_path, monkeypatch,
+                                      files, meta, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        args = ["smooth", "--input", "in.csv", "--bandwidth", "0.5"]
+        res = runner.invoke(main, [*args, *(["--meta", meta] if meta else []),
+                                   "--out", "sm"])
+        assert res.exit_code == 3
+        assert res.output.startswith(f"error: MalformedInput: {message}")
+        assert sorted(os.listdir()) == sorted(files)
+
+    def test_zero_bandwidth_frames_exits_2(self, runner, tmp_path):
+        inp = str(tmp_path / "in.csv")
+        write_input(inp, np.zeros((20, 1)))
+        res = runner.invoke(main, ["smooth", "--input", inp,
+                                   "--bandwidth-frames", "0",
+                                   "--out", str(tmp_path / "sm")])
+        assert res.exit_code == 2
+        assert "error: ValueError: bandwidth must be in (0, 1]" in res.output
+        assert os.listdir(tmp_path) == ["in.csv"]
 
     def test_header_without_value_columns_exits_3(self, runner, tmp_path):
         inp = str(tmp_path / "named.csv")
@@ -386,6 +421,19 @@ class TestCv:
         report = json.loads(Path(out + "_cv.json").read_text())
         assert len(report["grid"]) == 4  # flag wins over config file
 
+    @pytest.mark.parametrize("text", [None, "{"], ids=["missing", "invalid"])
+    def test_unreadable_config_exits_2(self, runner, tmp_path, monkeypatch,
+                                       text):
+        monkeypatch.chdir(tmp_path)
+        write_input("in.csv", np.zeros((40, 1)))
+        if text is not None:
+            Path("cfg.json").write_text(text)
+        res = runner.invoke(main, ["cv", "--input", "in.csv",
+                                   "--config", "cfg.json", "--out", "cv"])
+        assert res.exit_code == 2
+        assert "cannot read config cfg.json: " in res.output
+        assert not os.path.exists("cv_cv.json")
+
     def test_unknown_config_key_exits_2(self, runner, tmp_path):
         inp = str(tmp_path / "in.csv")
         write_input(inp, np.zeros((40, 1)))
@@ -467,6 +515,13 @@ _SIM = {"m": 5, "grid_size": 4, "estimators": "ll"}
      ["run_dmu.csv", "run_mu.csv"]),
     (["simulate"], 5, 2, []),
     (["simulate"], None, 2, []),
+    (["simulate"], {**_SIM, "reps": None, "n": 20}, 2, []),
+    (["simulate"], {**_SIM, "k": None, "n": 20, "reps": 1}, 2, []),
+    (["simulate"], {**_SIM, "seed": None, "n": 20, "reps": 1}, 2, []),
+    (["simulate"], {**_SIM, "estimators": None, "n": 20, "reps": 1}, 2, []),
+    (["simulate"], {**_SIM, "format": None, "n": 20, "reps": 1}, 2, []),
+    (["analyze", "--input", "in.csv"],
+     {"bandwidth": 0.2, "threshold_multiplier": None}, 2, []),
 ])
 def test_config_values_checked_like_flags(runner, tmp_path, monkeypatch,
                                           args, config, code, written):
@@ -476,6 +531,8 @@ def test_config_values_checked_like_flags(runner, tmp_path, monkeypatch,
     res = runner.invoke(main, [*args, "--config", "cfg.json", "--out", "run"])
     assert res.exit_code == code, res.output
     assert sorted(f for f in os.listdir() if f.startswith("run")) == written
+    if isinstance(config, dict) and None in config.values():
+        assert "config cfg.json: values must be scalars" in res.output
     if code == 0 and args == ["simulate"]:
         command_line = json.loads(
             Path("run_summary.json").read_text())["command"]

@@ -20,10 +20,7 @@ from ftsmooth.simulation import SimSpec, gen_series, mu1
 K = ft.quartic()
 
 
-def equi(values):
-    return FunctionalSeries.equidistant(np.atleast_2d(np.asarray(values)).T
-                                        if np.asarray(values).ndim == 1
-                                        else values)
+equi = FunctionalSeries.equidistant
 
 
 def affine(n, a, b):
@@ -281,6 +278,11 @@ class TestRegistry:
         assert np.array_equal(est.mu_hat, direct.mu_hat)
         assert np.array_equal(est.dmu_hat, direct.dmu_hat)
 
+    def test_unknown_name_raises_key_error(self):
+        assert ESTIMATORS == ("ll", "jackknife", "nw")
+        with pytest.raises(KeyError):
+            fit("loess", equi(np.arange(20.0)), SmoothConfig(0.2))
+
     def test_nw_derivative_only_on_request(self):
         series = equi(np.random.default_rng(18).normal(size=(40, 2)))
         assert fit("nw", series, SmoothConfig(0.2)).dmu_hat is None
@@ -505,6 +507,25 @@ class TestFailureRule:
                                              ("ll",))["ll"][1]
             if np.count_nonzero(np.abs(d / h) <= 1.0) < 2:
                 assert failed.all()
+
+    def test_failed_is_the_failing_bandwidth(self):
+        # K > 0 only on 1/2 < |u| < 1: stamps at +-0.4 h weigh 0 at h but not
+        # at h / sqrt(2), so the jackknife's large fit fails alone there.
+        ring = ft.Kernel("custom", grid=[-1.0, -0.75, -0.5, 0.5, 0.75, 1.0],
+                         values=[0.0, 2.0, 0.0, 0.0, 2.0, 0.0])
+        h = 0.1
+        d = h * np.array([[-0.6, 0.6, 5.0], [-0.4, 0.4, 5.0], [5.0, 5.0, 5.0]])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _equivalent_kernels(d, np.array([[h]]), ring, ESTIMATORS)
+        expected = {"ll": [0.0, h, h], "nw": [0.0, h, h],
+                    "jackknife": [0.0, h, h / np.sqrt(2.0)]}
+        for name in ESTIMATORS:
+            assert out[name][1][:, 0].tolist() == expected[name]
+        series = FunctionalSeries(np.array([0.46, 0.54]), np.ones((2, 1)))
+        with pytest.raises(SingularFit) as exc:
+            jackknife_derivative(series, SmoothConfig(h, ring), np.array([0.5]))
+        assert type(exc.value) is SingularFit
+        assert (exc.value.t, exc.value.bandwidth) == (0.5, h)
 
     def test_too_few_stamps_is_a_singular_fit(self):
         assert issubclass(BandwidthTooSmall, SingularFit)

@@ -92,6 +92,8 @@ class TestMoments:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             K.moment(-1)
+        with pytest.raises(ValueError, match="ell must be non-negative"):
+            K.moment_star(-1)
 
 
 class TestStarMoments:
@@ -148,6 +150,17 @@ class TestCustomKernel:
         arrays[where][40] = bad
         with pytest.raises(ValueError, match="finite"):
             Kernel("custom", **arrays)
+
+    @pytest.mark.parametrize("grid, values, match", [
+        (None, [0.0, 1.0, 0.0], "needs grid and values"),
+        ([-1.0, 0.0, 1.0], None, "needs grid and values"),
+        ([-1.0, 0.0, 1.0], [0.0, 1.0], "equal-length 1d arrays"),
+        ([-1.0, 1.0, 0.0], [0.0, 0.0, 1.0], "strictly increasing"),
+        ([-2.0, 0.0, 2.0], [0.0, 0.5, 0.0], r"supported on \[-1, 1\]"),
+    ], ids=["no-grid", "no-values", "unequal", "not-increasing", "support"])
+    def test_malformed_tabulation_rejected(self, grid, values, match):
+        with pytest.raises(ValueError, match=match):
+            Kernel("custom", grid=grid, values=values)
 
     def test_unknown_shape(self):
         with pytest.raises(ValueError):

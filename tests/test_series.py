@@ -10,6 +10,18 @@ class TestValidation:
         assert np.array_equal(s.times, np.arange(8) / 8)
         assert s.n == 8 and s.p == 3
 
+    def test_equidistant_reads_1d_as_one_value(self):
+        x = np.random.default_rng(0).normal(size=50)
+        s, col = (FunctionalSeries.equidistant(v) for v in (x, x[:, None]))
+        assert (s.n, s.p) == (50, 1)
+        assert np.array_equal(s.times, col.times)
+        assert np.array_equal(s.values, col.values)
+        assert s.value_grid == col.value_grid
+
+    def test_no_stamps_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 1d array"):
+            FunctionalSeries(np.array([]), np.zeros((0, 1)))
+
     def test_times_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             FunctionalSeries(np.array([0.0, 0.5, 0.5]), np.zeros((3, 1)))
