@@ -8,7 +8,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimators import Estimate
-from .series import FunctionalSeries, ValueGrid, discretized_norm
+from .series import (FunctionalSeries, ValueGrid, discretized_norm,
+                     pow2_scaled)
 
 __all__ = [
     "CusumResult", "ShapeMismatch", "InputTooShort",
@@ -73,6 +74,7 @@ def cusum(z) -> CusumResult:
     n = z.size
     if n < 2:
         raise ValueError("need at least 2 observations")
+    z, e = pow2_scaled(z)  # partial sums of z / 2**e cannot overflow
     csum = np.cumsum(z)
     k = np.arange(1, n + 1)
     process = (csum - k / n * csum[-1]) / np.sqrt(n)
@@ -81,6 +83,7 @@ def cusum(z) -> CusumResult:
     absproc = np.abs(process)
     tol = 1e-12 * np.sqrt(n) * float(np.max(np.abs(z)))
     amax = int(np.argmax(absproc >= absproc.max() - tol))
+    process = np.ldexp(process, e)
     return CusumResult(process, amax, float(process[amax]))
 
 

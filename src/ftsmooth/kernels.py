@@ -1,9 +1,9 @@
-"""Compactly supported smoothing kernels and their moments.
+"""The quartic smoothing kernel and its moments.
 
-All kernels live on [-1, 1], are symmetric, non-negative and integrate
-to one. The bias-cancelling combination ``2*sqrt(2)*K(sqrt(2)x) - K(x)``
-is exposed alongside each kernel because the Jackknife estimators are,
-asymptotically, plain kernel averages with exactly this kernel.
+The kernel is the quartic on [-1, 1]: symmetric, non-negative and of unit
+mass. The bias-cancelling combination ``2*sqrt(2)*K(sqrt(2)x) - K(x)`` is
+exposed alongside it because the Jackknife estimators are, asymptotically,
+plain kernel averages with exactly this kernel.
 """
 
 from __future__ import annotations
@@ -32,65 +32,32 @@ def _quartic(x: np.ndarray) -> np.ndarray:
 
 
 class Kernel:
-    """Symmetric weight function on [-1, 1].
+    """The quartic kernel 15/16 (1 - x^2)^2 on [-1, 1], the one kernel the
+    paper's estimators and their analysis use.
 
-    Either the built-in quartic kernel or a user-supplied tabulation on a
-    symmetric grid, evaluated by linear interpolation. Tabulated kernels
-    are validated (finiteness, support, symmetry, sign, normalization) and
-    never rescaled: a kernel that does not integrate to one is a user error
-    worth surfacing.
+    ``shape`` accepts "quartic" alone and anything else is a ``ValueError``.
+    It stays only because the benchmark's ``perfbench.tracing.TracedKernel``
+    passes it, and goes when that subclass no longer does.
     """
 
-    def __init__(self, shape: str = "quartic",
-                 grid: np.ndarray | None = None,
-                 values: np.ndarray | None = None):
-        if shape == "quartic":
-            self._eval = _quartic
-        elif shape == "custom":
-            if grid is None or values is None:
-                raise ValueError("custom kernel needs grid and values")
-            # Copies: the caller's arrays may change after validation.
-            grid = np.array(grid, dtype=float)
-            values = np.array(values, dtype=float)
-            if grid.ndim != 1 or grid.shape != values.shape or grid.size < 3:
-                raise ValueError("grid and values must be equal-length 1d arrays")
-            if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-                raise ValueError("kernel grid and values must be finite")
-            if not np.all(np.diff(grid) > 0):
-                raise ValueError("grid must be strictly increasing")
-            if grid[0] < -1.0 - 1e-12 or grid[-1] > 1.0 + 1e-12:
-                raise ValueError("custom kernels are supported on [-1, 1]")
-            if np.any(values < 0):
-                raise ValueError("kernel values must be non-negative")
-
-            def interp(x, _g=grid, _v=values):
-                x = np.asarray(x, dtype=float)
-                out = np.interp(x, _g, _v, left=0.0, right=0.0)
-                return np.where(np.abs(x) <= 1.0, out, 0.0)
-
-            self._eval = interp
-            xs = np.linspace(0.0, 1.0, 257)
-            if np.max(np.abs(interp(xs) - interp(-xs))) > 1e-9:
-                raise ValueError("kernel must be symmetric")
-        else:
+    def __init__(self, shape: str = "quartic"):
+        if shape != "quartic":
             raise ValueError(f"unknown kernel shape: {shape!r}")
-        if abs(self.moment(0) - 1.0) > 1e-9:
-            raise ValueError("kernel must integrate to 1 on [-1, 1]")
 
     def __call__(self, x) -> np.ndarray:
         """K(x), zero outside [-1, 1]."""
-        return self._eval(x)
+        return _quartic(x)
 
     def eval_star(self, x) -> np.ndarray:
         """The bias-cancelling kernel 2*sqrt(2)*K(sqrt(2)x) - K(x)."""
         x = np.asarray(x, dtype=float)
-        return 2.0 * _SQRT2 * self._eval(_SQRT2 * x) - self._eval(x)
+        return 2.0 * _SQRT2 * self(_SQRT2 * x) - self(x)
 
     def moment(self, ell: int) -> float:
         """integral of x^ell K(x) over [-1, 1] (composite Simpson)."""
         if ell < 0:
             raise ValueError("ell must be non-negative")
-        return _simpson(lambda x: x ** ell * self._eval(x))
+        return _simpson(lambda x: x ** ell * self(x))
 
     def moment_star(self, ell: int) -> float:
         """integral of x^ell K*(x) over [-1, 1]; moment_star(2) vanishes."""

@@ -32,8 +32,8 @@ class ValueGrid:
 class FunctionalSeries:
     """n observations of a (flattened) P-dimensional value on [0, 1].
 
-    times are strictly increasing stamps in [0, 1]; the default
-    constructor places them equidistantly with step 1/n.
+    times are strictly increasing stamps in [0, 1]; a 1d values array is n
+    observations of one value, as in ``equidistant``.
     """
 
     times: np.ndarray
@@ -43,7 +43,8 @@ class FunctionalSeries:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        values = values.reshape(-1, 1) if values.ndim < 2 else values
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or times.size < 1:
@@ -92,12 +93,11 @@ def pow2_scaled(a: np.ndarray, axis=None):
 def discretized_norm(rows: np.ndarray, norm: str) -> np.ndarray:
     """Row-wise discretized norm: l1 mean |.|, l2 root mean square, sup max |.|."""
     rows = np.atleast_2d(rows)
-    a = np.abs(rows)
-    if norm == "l1":
-        return a.mean(axis=1)
-    if norm == "l2":
-        scaled, e = pow2_scaled(rows, axis=1)
-        return np.ldexp(np.sqrt((scaled * scaled).mean(axis=1)), e)
+    if norm not in NORMS:
+        raise ValueError(f"norm must be one of {NORMS}")
     if norm == "sup":
-        return a.max(axis=1)
-    raise ValueError(f"norm must be one of {NORMS}")
+        return np.abs(rows).max(axis=1)
+    scaled, e = pow2_scaled(rows, axis=1)
+    if norm == "l1":
+        return np.ldexp(np.abs(scaled).mean(axis=1), e)
+    return np.ldexp(np.sqrt((scaled * scaled).mean(axis=1)), e)

@@ -120,6 +120,15 @@ class TestCusum:
         assert cusum(z * scale).argmax_index == cusum(z).argmax_index
         assert cusum(np.full(50, 3.3 * scale)).argmax_index == 0
 
+    @pytest.mark.parametrize("e", [-1000, 1000, 1020])
+    def test_power_of_two_scale_is_exact(self, e):
+        # At 2**1020 the partial sums leave the float range unless scaled.
+        z = np.random.default_rng(5).normal(size=300)
+        z[120:] += 2.0
+        a, b = cusum(z), cusum(np.ldexp(z, e))
+        assert np.array_equal(b.process, np.ldexp(a.process, e))
+        assert b.argmax_index == a.argmax_index
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             cusum(np.array([1.0]))

@@ -609,6 +609,23 @@ class TestAnalyze:
         assert np.all(np.isfinite(z)) and np.all(z > 0.0)
         assert 0.1 < np.median(z) / scale < 10.0
 
+    @pytest.mark.parametrize("norm", ["l1", "l2", "sup"])
+    def test_residuals_near_the_float_limit(self, runner, tmp_path, norm):
+        # Rows of 1e307 sum past the float range in l1 and in the CUSUM.
+        x = np.random.default_rng(9).normal(size=(60, 20))
+        picks = []
+        for scale in (1.0, 1e307):
+            inp, out = str(tmp_path / "in.csv"), str(tmp_path / "an")
+            write_input(inp, x * scale)
+            res = runner.invoke(main, ["analyze", "--input", inp, "--norm",
+                                       norm, "--bandwidth", "0.2",
+                                       "--out", out])
+            assert res.exit_code == 0, res.output
+            peaks = json.loads(Path(out + "_peaks.json").read_text(),
+                               parse_constant=reject_constant)
+            picks.append(peaks["cusum_argmax_index"])
+        assert picks[0] == picks[1]
+
     def test_sup_norm_is_row_max(self, runner, tmp_path):
         values = np.zeros((20, 3))
         values[7, 1] = -4.0

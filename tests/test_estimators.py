@@ -398,13 +398,19 @@ class TestSharedProperties:
         assert est.mu_hat.shape == (3, 1)
 
 
+def interpolated(grid, values):
+    """A kernel other than the quartic: any callable serves as ``kernel=``.
+    The values at the end nodes +-1 are 0, so it weighs 0 outside them."""
+    return lambda u: np.interp(u, grid, values)
+
+
 def tabulated_quartic():
-    # Nodes at multiples of 1/4 sit on Simpson panel edges, and the
-    # rescaling makes the piecewise linear interpolant integrate to one.
+    # The quartic at multiples of 1/4, rescaled so that its piecewise
+    # linear interpolant integrates to one.
     grid = np.linspace(-1.0, 1.0, 9)
     values = 0.9375 * (1.0 - grid ** 2) ** 2
     values /= np.sum((values[1:] + values[:-1]) / 2 * np.diff(grid))
-    return ft.Kernel("custom", grid=grid, values=values)
+    return interpolated(grid, values)
 
 
 def dense_ll_failures(train, eval_times, h, kernel=K):
@@ -511,8 +517,8 @@ class TestFailureRule:
     def test_failed_is_the_failing_bandwidth(self):
         # K > 0 only on 1/2 < |u| < 1: stamps at +-0.4 h weigh 0 at h but not
         # at h / sqrt(2), so the jackknife's large fit fails alone there.
-        ring = ft.Kernel("custom", grid=[-1.0, -0.75, -0.5, 0.5, 0.75, 1.0],
-                         values=[0.0, 2.0, 0.0, 0.0, 2.0, 0.0])
+        ring = interpolated([-1.0, -0.75, -0.5, 0.5, 0.75, 1.0],
+                            [0.0, 2.0, 0.0, 0.0, 2.0, 0.0])
         h = 0.1
         d = h * np.array([[-0.6, 0.6, 5.0], [-0.4, 0.4, 5.0], [5.0, 5.0, 5.0]])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

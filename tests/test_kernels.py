@@ -106,78 +106,21 @@ class TestStarMoments:
     def test_second_moment_cancellation(self):
         assert K.moment_star(2) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("ell", range(9))
+    def test_moments_of_the_rescaled_kernel(self, ell):
+        # y = sqrt(2) x turns the integral of x^ell 2 sqrt(2) K(sqrt(2) x)
+        # into 2^(1 - ell/2) moment(ell), for any kernel on [-1, 1].
+        assert K.moment_star(ell) == pytest.approx(
+            (2 ** (1 - ell / 2) - 1) * K.moment(ell), abs=1e-9)
+
 
 class TestCustomKernel:
-    def triangle(self):
-        grid = np.linspace(-1, 1, 4001)
-        return Kernel("custom", grid=grid, values=1.0 - np.abs(grid))
-
-    def test_valid_triangle(self):
-        k = self.triangle()
-        assert k(0.0) == pytest.approx(1.0)
-        assert k(2.0) == 0.0
-        assert k.moment(0) == pytest.approx(1.0, abs=1e-7)
-
-    def test_star_identity_holds(self):
-        k = self.triangle()
-        x = np.linspace(-1.2, 1.2, 321)
-        assert np.allclose(k.eval_star(x), 2 * SQRT2 * k(SQRT2 * x) - k(x))
-
-    def test_unnormalized_rejected(self):
-        grid = np.linspace(-1, 1, 101)
-        with pytest.raises(ValueError, match="integrate"):
-            Kernel("custom", grid=grid, values=np.full(101, 2.0))
-
-    def test_negative_rejected(self):
-        grid = np.linspace(-1, 1, 101)
-        with pytest.raises(ValueError, match="non-negative"):
-            Kernel("custom", grid=grid, values=np.cos(np.pi * grid))
-
-    def test_asymmetric_rejected(self):
-        grid = np.linspace(-1, 1, 101)
-        vals = 1.0 - np.abs(grid) + 0.05 * grid
-        with pytest.raises(ValueError, match="symmetric"):
-            Kernel("custom", grid=grid, values=np.clip(vals, 0, None))
-
-    @pytest.mark.parametrize("where, bad", [("values", np.nan),
-                                            ("values", np.inf),
-                                            ("grid", np.nan)])
-    def test_non_finite_rejected(self, where, bad):
-        # A NaN value fails no comparison-based check: moment(0) is NaN and
-        # fits would return NaN means without an error.
-        grid = np.linspace(-1, 1, 101)
-        arrays = {"grid": grid, "values": 1.0 - np.abs(grid)}
-        arrays[where][40] = bad
-        with pytest.raises(ValueError, match="finite"):
-            Kernel("custom", **arrays)
-
-    @pytest.mark.parametrize("grid, values, match", [
-        (None, [0.0, 1.0, 0.0], "needs grid and values"),
-        ([-1.0, 0.0, 1.0], None, "needs grid and values"),
-        ([-1.0, 0.0, 1.0], [0.0, 1.0], "equal-length 1d arrays"),
-        ([-1.0, 1.0, 0.0], [0.0, 0.0, 1.0], "strictly increasing"),
-        ([-2.0, 0.0, 2.0], [0.0, 0.5, 0.0], r"supported on \[-1, 1\]"),
-    ], ids=["no-grid", "no-values", "unequal", "not-increasing", "support"])
-    def test_malformed_tabulation_rejected(self, grid, values, match):
-        with pytest.raises(ValueError, match=match):
-            Kernel("custom", grid=grid, values=values)
+    """The tabulated kernel is withdrawn: the quartic is the one shape."""
 
     def test_unknown_shape(self):
-        with pytest.raises(ValueError):
-            Kernel("gaussian")
-
-    def test_caller_arrays_are_copied(self):
-        # Changing the arrays after construction must not get past the
-        # checks: the kernel evaluates and integrates its own copies.
-        grid = np.linspace(-1, 1, 4001)
-        values = 1.0 - np.abs(grid)
-        k = Kernel("custom", grid=grid, values=values)
-        x = np.linspace(-1.2, 1.2, 97)
-        before, mass = k(x), k.moment(0)
-        grid *= 0.5
-        values[:] = np.nan
-        assert np.array_equal(k(x), before)
-        assert k.moment(0) == mass
+        for shape in ("gaussian", "custom"):
+            with pytest.raises(ValueError, match="unknown kernel shape"):
+                Kernel(shape)
 
 
 class TestDefaultKernel:

@@ -18,6 +18,12 @@ class TestValidation:
         assert np.array_equal(s.values, col.values)
         assert s.value_grid == col.value_grid
 
+    def test_constructor_reads_1d_as_one_value(self):
+        x = np.arange(5.0)
+        s = FunctionalSeries(np.arange(5) / 5, x)
+        assert s.values.shape == (5, 1)
+        assert np.array_equal(s.values, FunctionalSeries.equidistant(x).values)
+
     def test_no_stamps_rejected(self):
         with pytest.raises(ValueError, match="non-empty 1d array"):
             FunctionalSeries(np.array([]), np.zeros((0, 1)))
@@ -79,6 +85,11 @@ class TestDiscretizedNorm:
                                        abs=0.0)
         assert got[1] == 0.0
         assert got[2] == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_l1_does_not_overflow(self):
+        with np.errstate(all="raise"):
+            got = discretized_norm(np.full((2, 4), 1e308), "l1")
+        assert np.array_equal(got, [1e308, 1e308])
 
     def test_l1(self):
         assert discretized_norm(np.array([[-3.0, 4.0]]), "l1")[0] \
