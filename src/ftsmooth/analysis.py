@@ -97,6 +97,7 @@ def detect_peaks(z, threshold_multiplier: float = 5.0) -> list[tuple[int, int]]:
         raise ValueError("need at least 3 observations")
     if not np.isfinite(threshold_multiplier):
         raise ValueError("threshold multiplier must be finite")
+    z = pow2_scaled(z)[0]  # exact: the median's sum cannot overflow
     med = np.median(z)
     mad = np.median(np.abs(z - med))
     above = np.r_[0, (z > med + threshold_multiplier * mad).astype(int), 0]

@@ -177,6 +177,8 @@ def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
     if not np.all(np.isfinite(eval_times)):
         raise ValueError("eval_times must be finite")
     h, times, values = cfg.bandwidth, series.times, series.values
+    # Each column is fitted / 2**e as in pow2_scaled: exact, cannot overflow.
+    e = np.frexp(np.maximum(values.max(axis=0), -values.min(axis=0)))[1]
     order = np.argsort(eval_times, kind="stable")
     ts = eval_times[order]
     ne, p = ts.size, values.shape[1]
@@ -190,8 +192,9 @@ def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
         weights, bad = _equivalent_kernels(
             times[lo:hi] - ts[a:b, None], np.array([[h]]), cfg.kernel,
             (name,), slope)[name]
-        fits[:, order[a:b]] = weights[:, :, 0] @ values[lo:hi]
+        fits[:, order[a:b]] = weights[:, :, 0] @ np.ldexp(values[lo:hi], -e)
         failed[order[a:b]] = bad[:, 0]
+    np.ldexp(fits, e, out=fits)
 
     if np.any(failed):
         bw = float(failed[failed > 0.0].min())

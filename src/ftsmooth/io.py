@@ -156,7 +156,7 @@ def write_csv(path: str, columns: dict, command=None, seed=None) -> None:
 def write_series_csv(path: str, times: np.ndarray, values: np.ndarray,
                      command=None,
                      extra_cols: dict[str, np.ndarray] | None = None) -> None:
-    values = np.atleast_2d(values)
+    values = np.reshape(values, (len(times), -1))
     columns = {"t": times}
     columns.update((f"x{j}", values[:, j]) for j in range(values.shape[1]))
     write_csv(path, {**columns, **(extra_cols or {})}, command)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,13 @@ class ValueGrid:
 class FunctionalSeries:
     """n observations of a (flattened) P-dimensional value on [0, 1].
 
-    times are strictly increasing stamps in [0, 1]; a 1d values array is n
-    observations of one value, as in ``equidistant``.
+    times are strictly increasing stamps in [0, 1]; values has one row per
+    stamp (a 1d array: one value), and value_grid defaults to ValueGrid(1, P).
     """
 
     times: np.ndarray
     values: np.ndarray
-    value_grid: ValueGrid = field(default_factory=ValueGrid)
+    value_grid: ValueGrid | None = None
     norm: str = "l2"
 
     def __post_init__(self):
@@ -55,23 +55,22 @@ class FunctionalSeries:
             raise ValueError("times must be strictly increasing")
         if times[0] < 0.0 or times[-1] > 1.0:
             raise ValueError("times must lie in [0, 1]")
-        if values.shape[0] != times.size:
-            raise ValueError("values must have one row per time stamp")
-        if self.value_grid.p != values.shape[1]:
-            raise ValueError(
-                f"value_grid implies P={self.value_grid.p}, "
-                f"got {values.shape[1]} columns")
+        if values.ndim > 2 or values.shape[0] != times.size:
+            raise ValueError("values need one row per time stamp and at most "
+                             f"2 axes, got {values.ndim} axes {values.shape}")
+        grid = self.value_grid or ValueGrid(1, values.shape[1])
+        object.__setattr__(self, "value_grid", grid)
+        if grid.p != values.shape[1]:
+            raise ValueError(f"value_grid implies P={grid.p}, "
+                             f"got {values.shape[1]} columns")
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}")
 
     @classmethod
     def equidistant(cls, values) -> "FunctionalSeries":
-        """Series of single curves on the stamps i/n, i = 0, ..., n-1; a 1d
-        array is n observations of one value."""
-        values = np.asarray(values, dtype=float)
-        values = values.reshape(-1, 1) if values.ndim < 2 else values
-        n, p = values.shape
-        return cls(np.arange(n) / n, values, ValueGrid(1, p))
+        """Series of n observations on the stamps i/n, i = 0, ..., n-1."""
+        n = (np.shape(values) or (1,))[0]
+        return cls(np.arange(n) / n, values)
 
     @property
     def n(self) -> int:

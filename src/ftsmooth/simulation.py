@@ -41,7 +41,6 @@ _RHO_SCALE = 0.3 * np.sqrt(6.0)
 class MeanOperator:
     """Smooth mean surface with its analytic time derivative."""
 
-    id: str
     eval: callable  # (t, x) -> value
     d_eval: callable  # (t, x) -> time derivative
 
@@ -49,7 +48,6 @@ class MeanOperator:
 def mu1() -> MeanOperator:
     """sin(2 pi x) + t^2."""
     return MeanOperator(
-        "mu1",
         eval=lambda t, x: np.sin(2.0 * np.pi * x) + t ** 2,
         d_eval=lambda t, x: 2.0 * t + 0.0 * x,
     )
@@ -62,7 +60,6 @@ def _phi(x):
 def mu2() -> MeanOperator:
     """phi(x) + (t - 1/2)^2 + sin(10 pi t)/10 + 3/4."""
     return MeanOperator(
-        "mu2",
         eval=lambda t, x: (_phi(x) + (t - 0.5) ** 2
                            + 0.1 * np.sin(10.0 * np.pi * t) + 0.75),
         d_eval=lambda t, x: (2.0 * (t - 0.5)
@@ -73,7 +70,6 @@ def mu2() -> MeanOperator:
 def flat() -> MeanOperator:
     """Constant mean, exactly reproduced by every estimator; for debugging."""
     return MeanOperator(
-        "flat",
         eval=lambda t, x: 1.0 + 0.0 * t + 0.0 * x,
         d_eval=lambda t, x: 0.0 * t + 0.0 * x,
     )

@@ -156,6 +156,14 @@ class TestDetectPeaks:
         z[40:42] += 30.0
         assert detect_peaks(z) == detect_peaks(3.7 * z)
 
+    def test_near_the_float_limit(self):
+        # The median of an even count averages two values past 9e307.
+        z = np.full(60, 1.6e308)
+        z[30:32], z[58:] = 1.79e308, 1.797e308
+        with np.errstate(all="raise"):
+            got = [detect_peaks(z), detect_peaks(np.ldexp(z, -100))]
+        assert got == [[(30, 31), (58, 59)]] * 2
+
     def test_threshold_multiplier(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=60)

@@ -186,6 +186,21 @@ class TestSmooth:
         assert res.exit_code == 0, res.output
         assert os.path.exists(out + "_dmu.csv")
 
+    @pytest.mark.parametrize("flags", [["--estimator", "ll"],
+                                       ["--estimator", "jackknife"],
+                                       ["--estimator", "nw", "--derivative"]],
+                             ids=["ll", "jackknife", "nw-derivative"])
+    def test_constant_column_near_the_float_limit(self, runner, tmp_path,
+                                                   flags):
+        x = np.random.default_rng(1).normal(size=(60, 1))
+        inp, out = str(tmp_path / "limit.csv"), str(tmp_path / "sm")
+        write_input(inp, np.c_[np.full(60, 1.7e308), x])
+        res = runner.invoke(main, ["smooth", "--input", inp, "--bandwidth",
+                                   "0.2", "--out", out] + flags)
+        assert res.exit_code == 0, res.output
+        for suffix in ("_mu.csv", "_dmu.csv"):
+            assert np.all(np.isfinite(read_series_csv(out + suffix).values))
+
     @pytest.mark.parametrize("estimator", ["ll", "jackknife"])
     def test_ll_writes_derivative(self, runner, tmp_path, estimator):
         inp = str(tmp_path / "in.csv")
@@ -784,6 +799,14 @@ class TestRoundTrip:
         back = read_series_csv(path)
         assert back.times.tobytes() == times.tobytes()
         assert back.values.tobytes() == values.tobytes()
+
+    def test_1d_values_are_one_column(self, tmp_path):
+        times = np.arange(5) / 5
+        x = np.random.default_rng(3).normal(size=5)
+        path = str(tmp_path / "series.csv")
+        write_series_csv(path, times, x)
+        back = read_series_csv(path)
+        assert np.array_equal(back.values, x[:, None])
 
     def test_sidecar_metadata(self, tmp_path):
         path = str(tmp_path / "series.csv")

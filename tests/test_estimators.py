@@ -25,8 +25,7 @@ equi = FunctionalSeries.equidistant
 
 def affine(n, a, b):
     t = np.arange(n) / n
-    return FunctionalSeries(t, a[None, :] + t[:, None] * b[None, :],
-                            ft.ValueGrid(1, a.size))
+    return FunctionalSeries(t, a[None, :] + t[:, None] * b[None, :])
 
 
 class TestLocalLinear:
@@ -54,8 +53,7 @@ class TestLocalLinear:
         for _ in range(20):
             n = int(rng.integers(20, 51))
             series = FunctionalSeries(
-                np.sort(rng.uniform(0, 1, n)), rng.normal(size=(n, 3)),
-                ft.ValueGrid(1, 3))
+                np.sort(rng.uniform(0, 1, n)), rng.normal(size=(n, 3)))
             h = rng.uniform(0.2, 0.5)
             est = local_linear(series, SmoothConfig(h))
             for i, t in enumerate(series.times):
@@ -626,8 +624,7 @@ class TestWindowedSums:
                                 0)[0].values[keep]
         else:
             values = rng.normal(size=(n, 1024))[keep]
-        series = FunctionalSeries(np.arange(n)[keep] / n, values,
-                                  ft.ValueGrid(1, values.shape[1]))
+        series = FunctionalSeries(np.arange(n)[keep] / n, values)
         h = k / n
         stamps = np.arange(n) / n
         eval_times = rng.permutation(np.concatenate([
@@ -712,8 +709,7 @@ class TestOnePassCv:
         if case == "small-chunks":  # several chunks of points per fold
             monkeypatch.setattr(ft.bandwidth, "_CHUNK", 1000)
         kernel = tabulated_quartic() if case == "custom" else K
-        series = FunctionalSeries(times, rng.normal(size=(n, 3)),
-                                  ft.ValueGrid(1, 3))
+        series = FunctionalSeries(times, rng.normal(size=(n, 3)))
         alone = {name: cross_validate(series, CvConfig(estimator=name),
                                       kernel)
                  for name in ESTIMATORS}
@@ -726,6 +722,33 @@ class TestOnePassCv:
                     assert np.array_equal(reports[name].scores,
                                           alone[name].scores)
                     assert reports[name].best_h == alone[name].best_h
+
+
+class TestScaleSafety:
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_constant_column_near_the_float_limit(self, name):
+        # One column at 1.7e308 beside N(0,1): weights @ values would
+        # overflow, and the small column must not depend on the large one.
+        x = np.random.default_rng(1).normal(size=(60, 1))
+        cfg = SmoothConfig(0.2)
+        est, ones = (fit(name, equi(np.c_[np.full(60, c), x]), cfg, True)
+                     for c in (1.7e308, 1.0))
+        assert np.all(np.isfinite(est.mu_hat))
+        assert np.all(np.isfinite(est.dmu_hat))
+        assert np.max(np.abs(est.mu_hat[:, 0] / 1.7e308 - 1.0)) <= 1e-14
+        assert np.max(np.abs(est.dmu_hat[:, 0])) <= 1e-12 * 1.7e308
+        assert np.array_equal(est.mu_hat[:, 1], ones.mu_hat[:, 1])
+        assert np.array_equal(est.dmu_hat[:, 1], ones.dmu_hat[:, 1])
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_power_of_two_scale_is_exact(self, name, k):
+        values = np.random.default_rng(2).normal(size=(90, 3))
+        cfg = SmoothConfig(0.1)
+        est = fit(name, equi(values), cfg, derivative=True)
+        scaled = fit(name, equi(np.ldexp(values, k)), cfg, derivative=True)
+        assert np.array_equal(scaled.mu_hat, np.ldexp(est.mu_hat, k))
+        assert np.array_equal(scaled.dmu_hat, np.ldexp(est.dmu_hat, k))
 
 
 class TestBoundedMemory:

@@ -24,6 +24,17 @@ class TestValidation:
         assert s.values.shape == (5, 1)
         assert np.array_equal(s.values, FunctionalSeries.equidistant(x).values)
 
+    def test_constructor_derives_the_layout(self):
+        s = FunctionalSeries(np.arange(4) / 4, np.zeros((4, 3)))
+        assert s.value_grid == ValueGrid(1, 3)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: FunctionalSeries(np.arange(4) / 4, v),
+        FunctionalSeries.equidistant], ids=["constructor", "equidistant"])
+    def test_more_than_two_axes_rejected(self, build):
+        with pytest.raises(ValueError, match="at most 2 axes, got 3 axes"):
+            build(np.zeros((4, 2, 3)))
+
     def test_no_stamps_rejected(self):
         with pytest.raises(ValueError, match="non-empty 1d array"):
             FunctionalSeries(np.array([]), np.zeros((0, 1)))

@@ -219,8 +219,7 @@ class TestGenSeries:
 
 class TestMonteCarlo:
     def test_zero_noise_constant_mean(self):
-        flat = MeanOperator("flat",
-                            eval=lambda t, x: 1.0 + 0.0 * t + 0.0 * x,
+        flat = MeanOperator(eval=lambda t, x: 1.0 + 0.0 * t + 0.0 * x,
                             d_eval=lambda t, x: 0.0 * t + 0.0 * x)
         spec = SimSpec(flat, "none", 40, 10, 2, 0)
         table = monte_carlo(spec, ("ll", "jackknife", "nw"),
