@@ -141,11 +141,8 @@ def _columns(rows, fields) -> dict:
     click.option("--seed", type=int, default=0),
     *_FOLDS,
     click.option("--estimators", default=",".join(ESTIMATORS),
-                 help=f"comma-separated subset of {','.join(ESTIMATORS)}"),
-    click.option("--format", type=click.Choice(["csv", "json"]),
-                 default="csv"))
-def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, format,
-             out):
+                 help=f"comma-separated subset of {','.join(ESTIMATORS)}"))
+def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, out):
     """Monte Carlo benchmark of the smoothers on synthetic data."""
     names = [s.strip() for s in estimators.split(",") if s.strip()]
     spec = SimSpec(MEAN_OPERATORS[mean](), errors, n, m, reps, seed)
@@ -154,20 +151,15 @@ def simulate(mean, errors, n, m, reps, seed, k, grid_size, estimators, format,
                f" --n {n} --m {m} --reps {reps}"
                f" --k {k} --grid-size {grid_size}"
                f" --estimators {','.join(names)}")
-    if format == "csv":
-        write_csv(out + "_results.csv", _columns(table.rows, RESULT_FIELDS),
-                  command, seed)
-    else:
-        write_json_atomic(out + "_results.json", {
-            "rows": [{f: getattr(r, f) for f in RESULT_FIELDS}
-                     for r in table.rows]}, command, seed)
+    write_csv(out + "_results.csv", _columns(table.rows, RESULT_FIELDS),
+              command, seed)
     write_csv(out + "_timings.csv",
               _columns([r for r in table.rows if r.target == "mu"],
                        ("estimator", "n", "m", "reps", "mean_fit_ms")),
               command, seed)
     write_json_atomic(out + "_summary.json",
                       {"failed_replications": table.failures}, command, seed)
-    click.echo(f"wrote {out}_results.{format}")
+    click.echo(f"wrote {out}_results.csv")
 
 
 @_command("fts_smooth", *_INPUT, _ESTIMATOR, *_BANDWIDTH,
@@ -180,7 +172,8 @@ def smooth(input, meta, estimator, bandwidth, bandwidth_frames, derivative,
         raise click.UsageError("--derivative applies to --estimator nw only")
     series = read_series_csv(input, meta)
     h = _resolve_bandwidth(series.n, bandwidth, bandwidth_frames)
-    est = fit(estimator, series, SmoothConfig(h), derivative=derivative)
+    est = fit(estimator, series, SmoothConfig(h),
+              derivative=derivative or estimator != "nw")
     command = f"fts smooth --estimator {estimator} --bandwidth {h:.17g}"
     for suffix, values in (("_mu.csv", est.mu_hat), ("_dmu.csv", est.dmu_hat)):
         if values is not None:

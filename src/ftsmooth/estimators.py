@@ -165,9 +165,10 @@ def _equivalent_kernels(d, hs, kernel, names, slope=False):
 # or overflow, and their rows are never returned.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
-         name: str) -> Estimate:
-    """The named estimator at eval_times (the stamps if None), raising at
-    the smallest failing bandwidth's first point in eval_times order.
+         name: str, slope: bool = True) -> Estimate:
+    """The named estimator at eval_times (the stamps if None), with its
+    slopes if slope (nw has none), raising at the smallest failing
+    bandwidth's first point in eval_times order.
     Sorted blocks of _BLOCK points each span only the training stamps
     within their reach, so memory is O(block x window), not O(n_eval x n)."""
     eval_times = np.asarray(
@@ -182,7 +183,7 @@ def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
     order = np.argsort(eval_times, kind="stable")
     ts = eval_times[order]
     ne, p = ts.size, values.shape[1]
-    slope = name != "nw"
+    slope = slope and name != "nw"
     fits, failed = np.empty((1 + slope, ne, p)), np.empty(ne)
 
     starts = np.arange(0, ne, _BLOCK)
@@ -204,8 +205,19 @@ def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
         # Too few stamps imply singular, so the count only names it.
         count = np.count_nonzero(np.abs((series.times - t) / bw) <= 1.0)
         raise (BandwidthTooSmall if count < 2 else SingularFit)(t, bw)
-    return Estimate(eval_times, fits[0], fits[1] if slope else None,
-                    (eval_times >= h) & (eval_times <= 1.0 - h))
+    return _finite(Estimate(eval_times, fits[0], fits[1] if slope else None,
+                            (eval_times >= h) & (eval_times <= 1.0 - h)))
+
+
+def _finite(est: Estimate) -> Estimate:
+    """est, unless a value left the float range (np.ldexp and np.gradient
+    overflow to inf silently); else raise at the first bad entry of times."""
+    parts = [v for v in (est.mu_hat, est.dmu_hat) if v is not None]
+    if all(np.isfinite(v).all() for v in parts):
+        return est
+    bad = np.any([~np.isfinite(v).all(axis=1) for v in parts], axis=0)
+    raise FloatingPointError(
+        f"fit leaves the float range at t={est.times[np.argmax(bad)]:g}")
 
 
 def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
@@ -225,6 +237,7 @@ def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
     return _fit(series, cfg, eval_times, "nw")
 
 
+@np.errstate(over="ignore")  # an overflowing difference raises in _finite
 def nw_derivative(est: Estimate) -> Estimate:
     """Finite-difference derivative of a mean estimate on an equidistant grid.
 
@@ -237,7 +250,8 @@ def nw_derivative(est: Estimate) -> Estimate:
     step = steps[0]
     if np.max(np.abs(steps - step)) > 1e-9 * step:
         raise NonEquidistant("time stamps are not equidistant")
-    return replace(est, dmu_hat=np.gradient(est.mu_hat, step, axis=0))
+    return _finite(replace(est, dmu_hat=np.gradient(est.mu_hat, step,
+                                                     axis=0)))
 
 
 def jackknife_derivative(series: FunctionalSeries, cfg: SmoothConfig,
@@ -250,18 +264,15 @@ def jackknife_derivative(series: FunctionalSeries, cfg: SmoothConfig,
 # The estimators' names, for fit, cross-validation, the simulation and the CLI.
 ESTIMATORS = ("ll", "jackknife", "nw")
 
-# A fit raises one of these when the bandwidth is unusable for the data.
-FIT_ERRORS = (SingularFit, EmptyWindow)
+# What a fit raises: an unusable bandwidth, or values past the float range.
+FIT_ERRORS = (SingularFit, EmptyWindow, FloatingPointError)
 
 
 def fit(name: str, series: FunctionalSeries, cfg: SmoothConfig,
         derivative: bool = False) -> Estimate:
-    """Fit the estimator named name, one of ESTIMATORS, at the stamps.
-
-    With derivative, an estimate that carries no derivative of its own
-    gets the finite-difference one of nw_derivative.
-    """
-    est = _fit(series, cfg, None, name)
+    """Fit the estimator named name, one of ESTIMATORS, at the stamps: its
+    mean and, with derivative, its derivative (nw's from nw_derivative)."""
+    est = _fit(series, cfg, None, name, derivative)
     if derivative and est.dmu_hat is None:
         est = nw_derivative(est)
     return est

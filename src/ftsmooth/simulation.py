@@ -23,8 +23,7 @@ from .series import FunctionalSeries
 __all__ = [
     "MeanOperator", "mu1", "mu2", "ERROR_PROCESSES", "SimSpec",
     "RESULT_FIELDS", "ResultRow", "ResultsTable",
-    "sample_bm", "sample_bb", "apply_rho", "gen_errors", "gen_series",
-    "monte_carlo",
+    "gen_errors", "gen_series", "monte_carlo",
 ]
 
 ERROR_PROCESSES = ("bm", "bb", "farbm", "farbb", "tvbm", "tvfar1", "tvfar2",
@@ -118,16 +117,6 @@ def _innovations(process: str, count: int, m: int,
     return out
 
 
-def sample_bm(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Brownian motion on the grid j/(m-1): W(0)=0, unit variance at 1."""
-    return _innovations("bm", 1, m, rng)[0]
-
-
-def sample_bb(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Brownian bridge B(t) = W(t) - t W(1) from a fresh motion."""
-    return _innovations("bb", 1, m, rng)[0]
-
-
 def _trapezoid_weights(m: int) -> np.ndarray:
     w = np.full(m, 1.0 / (m - 1))
     w[0] *= 0.5
@@ -139,12 +128,6 @@ def rho_matrix(m: int) -> np.ndarray:
     """Discretized integral operator with kernel 0.3 sqrt(6) min(x, y)."""
     x = np.arange(m) / (m - 1)
     return (_RHO_SCALE * np.minimum.outer(x, x)) * _trapezoid_weights(m)
-
-
-def apply_rho(f: np.ndarray) -> np.ndarray:
-    """Apply the min-kernel integral operator by trapezoidal quadrature."""
-    f = np.asarray(f, dtype=float)
-    return rho_matrix(f.shape[-1]) @ f
 
 
 def _sigma(t):

@@ -20,8 +20,8 @@ from conftest import record
 import ftsmooth as ft
 from ftsmooth.bandwidth import CvConfig
 from ftsmooth.cli import main
-from ftsmooth.simulation import (SimSpec, apply_rho, monte_carlo, mu1,
-                                 sample_bb, sample_bm)
+from ftsmooth.simulation import (SimSpec, gen_errors, monte_carlo, mu1,
+                                 rho_matrix)
 
 RHO_SCALE = 0.3 * np.sqrt(6.0)
 MC_NS = (50, 100, 200, 500)
@@ -170,12 +170,12 @@ def test_criterion_8_cusum_localization():
 
 def test_criterion_9_simulation_statistics():
     rng = np.random.default_rng(909)
-    bm_ends = np.array([sample_bm(100, rng)[-1] for _ in range(10000)])
-    bb_mids = np.array([sample_bb(101, rng)[50] for _ in range(10000)])
+    bm_ends = gen_errors("bm", 10000, 100, rng)[:, -1]
+    bb_mids = gen_errors("bb", 10000, 101, rng)[:, 50]
     d_bm = abs(bm_ends.var() - 1.0)
     d_bb = abs(bb_mids.var() - 0.25)
     y = np.arange(100) / 99
-    d_rho = np.max(np.abs(apply_rho(np.ones(100))
+    d_rho = np.max(np.abs(rho_matrix(100) @ np.ones(100)
                           - RHO_SCALE * (y - y ** 2 / 2)))
     ok = d_bm <= 0.05 and d_bb <= 0.02 and d_rho <= 1e-3
     record(9, "innovation variances and integral operator", ok,

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ftsmooth import __version__
+from ftsmooth.bandwidth import CvConfig
 from ftsmooth.cli import main
 from ftsmooth.estimators import ESTIMATORS
 from ftsmooth.io import (MalformedInput, provenance, read_series_csv,
                          write_csv, write_json_atomic, write_series_csv)
-from ftsmooth.simulation import RESULT_FIELDS
+from ftsmooth.simulation import RESULT_FIELDS, SimSpec, monte_carlo, mu1
 
 
 @pytest.fixture
@@ -89,24 +90,34 @@ class TestSimulate:
         assert res.exit_code == 4, res.output
         assert "error: AllBandwidthsInvalid:" in res.output
 
-    def test_json_format(self, runner, tmp_path):
+    def test_results_csv_reads_back_as_the_table(self, runner, tmp_path):
+        # The header is RESULT_FIELDS; each cell parses back, as its
+        # field's type, to the library's value (17 digits round-trip).
         out = str(tmp_path / "run")
-        args = ["simulate", "--mean", "flat", "--errors", "none", "--n", "40",
-                "--m", "5", "--reps", "1", "--grid-size", "5",
-                "--estimators", "nw", "--out", out]
-        res = runner.invoke(main, args + ["--format", "json"])
+        res = runner.invoke(main, ["simulate", "--n", "40", "--m", "5",
+                                   "--reps", "2", "--grid-size", "5",
+                                   "--estimators", "nw,ll", "--out", out])
         assert res.exit_code == 0, res.output
-        data = json.loads(Path(out + "_results.json").read_text())
-        assert {r["target"] for r in data["rows"]} == {"mu", "dmu"}
-        res = runner.invoke(main, args + ["--format", "csv"])
-        assert res.exit_code == 0, res.output
+        assert res.output == f"wrote {out}_results.csv\n"
+        table = monte_carlo(SimSpec(mu1(), "bm", 40, 5, 2, 0), ("nw", "ll"),
+                            CvConfig(grid_size=5))
         lines = Path(out + "_results.csv").read_text().splitlines()
         assert lines[1].split(",") == list(RESULT_FIELDS)
-        assert len(lines) - 2 == len(data["rows"])
-        for line, row in zip(lines[2:], data["rows"]):
-            assert sorted(row) == sorted(RESULT_FIELDS)
-            cells = dict(zip(RESULT_FIELDS, line.split(",")))
-            assert {k: type(v)(cells[k]) for k, v in row.items()} == row
+        assert len(lines) - 2 == len(table.rows)
+        for line, row in zip(lines[2:], table.rows):
+            for field, cell in zip(RESULT_FIELDS, line.split(",")):
+                value = getattr(row, field)
+                assert type(value)(cell) == value, field
+
+    @pytest.mark.parametrize("value", ["csv", "json"])
+    def test_format_flag_is_withdrawn(self, runner, tmp_path, value):
+        out = str(tmp_path / "run")
+        res = runner.invoke(main, ["simulate", "--n", "20", "--m", "5",
+                                   "--reps", "1", "--format", value,
+                                   "--out", out])
+        assert res.exit_code == 2
+        assert "No such option" in res.output and "--format" in res.output
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("selection", ["ll,ll", ","])
     def test_bad_estimator_selection_exits_2(self, runner, tmp_path,
@@ -200,6 +211,42 @@ class TestSmooth:
         assert res.exit_code == 0, res.output
         for suffix in ("_mu.csv", "_dmu.csv"):
             assert np.all(np.isfinite(read_series_csv(out + suffix).values))
+
+    @pytest.mark.parametrize("command, code", [
+        (["smooth", "--estimator", "ll"], 4),
+        (["smooth", "--estimator", "jackknife"], 4),
+        (["smooth", "--estimator", "nw", "--derivative"], 4),
+        (["analyze"], 4),
+        (["smooth", "--estimator", "nw"], 0)],
+        ids=["ll", "jackknife", "nw-derivative", "analyze", "nw"])
+    def test_fit_past_the_float_range_exits_4(self, runner, tmp_path,
+                                              command, code):
+        # Slopes of 1.7e308 cos(6 pi t) exceed the floats; nw's mean does not.
+        t = np.arange(60) / 60
+        inp, out = str(tmp_path / "overflow.csv"), str(tmp_path / "ovf")
+        write_input(inp, 1.7e308 * np.cos(6.0 * np.pi * t)[:, None])
+        res = runner.invoke(main, [*command, "--input", inp,
+                                   "--bandwidth", "0.2", "--out", out])
+        assert res.exit_code == code, res.output
+        written = sorted(os.listdir(tmp_path))
+        if code == 0:
+            assert written == ["overflow.csv", "ovf_mu.csv"]
+            return
+        assert res.output == ("error: FloatingPointError: fit leaves the "
+                              "float range at t=0\n")
+        assert written == ["overflow.csv"]
+
+    def test_nw_derivative_on_uneven_stamps_exits_4(self, runner, tmp_path):
+        inp, out = str(tmp_path / "in.csv"), str(tmp_path / "sm")
+        times = np.sort(np.random.default_rng(4).uniform(size=40))
+        write_input(inp, np.arange(40.0)[:, None], times)
+        res = runner.invoke(main, ["smooth", "--input", inp, "--estimator",
+                                   "nw", "--derivative", "--bandwidth", "0.3",
+                                   "--out", out])
+        assert res.exit_code == 4, res.output
+        assert res.output == ("error: NonEquidistant: time stamps are not "
+                              "equidistant\n")
+        assert os.listdir(tmp_path) == ["in.csv"]
 
     @pytest.mark.parametrize("estimator", ["ll", "jackknife"])
     def test_ll_writes_derivative(self, runner, tmp_path, estimator):
@@ -519,8 +566,7 @@ _SIM = {"m": 5, "grid_size": 4, "estimators": "ll"}
     (["simulate"], {**_SIM, "reps": True, "n": 20}, 2, []),
     (["simulate"], {**_SIM, "reps": "2", "n": 20}, 0,
      ["run_results.csv", "run_summary.json", "run_timings.csv"]),
-    (["simulate"], {**_SIM, "format": "json", "n": 20, "reps": 1}, 0,
-     ["run_results.json", "run_summary.json", "run_timings.csv"]),
+    (["simulate"], {**_SIM, "format": "json", "n": 20, "reps": 1}, 2, []),
     (["smooth", "--input", "in.csv"],
      {"estimator": "nw", "bandwidth": 0.2, "derivative": "no"}, 0,
      ["run_mu.csv"]),
@@ -534,7 +580,6 @@ _SIM = {"m": 5, "grid_size": 4, "estimators": "ll"}
     (["simulate"], {**_SIM, "k": None, "n": 20, "reps": 1}, 2, []),
     (["simulate"], {**_SIM, "seed": None, "n": 20, "reps": 1}, 2, []),
     (["simulate"], {**_SIM, "estimators": None, "n": 20, "reps": 1}, 2, []),
-    (["simulate"], {**_SIM, "format": None, "n": 20, "reps": 1}, 2, []),
     (["analyze", "--input", "in.csv"],
      {"bandwidth": 0.2, "threshold_multiplier": None}, 2, []),
 ])

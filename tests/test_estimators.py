@@ -14,7 +14,7 @@ from ftsmooth.bandwidth import (CvConfig, _cv_reports, cross_validate,
 from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, FIT_ERRORS,
                                  SingularFit, JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
-                                 _equivalent_kernels, _windows, fit)
+                                 _equivalent_kernels, _fit, _windows, fit)
 from ftsmooth.simulation import SimSpec, gen_series, mu1
 
 K = ft.quartic()
@@ -531,9 +531,21 @@ class TestFailureRule:
         assert type(exc.value) is SingularFit
         assert (exc.value.t, exc.value.bandwidth) == (0.5, h)
 
+    def test_stamps_at_the_window_edge_weigh_nothing(self):
+        # Both stamps at |u| = 1: nw's window is empty, while ll counts
+        # two stamps in |u| <= 1 and names a plain SingularFit.
+        series = FunctionalSeries(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
+        at = np.array([0.25])
+        with pytest.raises(ft.EmptyWindow):
+            nadaraya_watson(series, SmoothConfig(0.25), at)
+        with pytest.raises(SingularFit) as exc:
+            local_linear(series, SmoothConfig(0.25), at)
+        assert type(exc.value) is SingularFit
+
     def test_too_few_stamps_is_a_singular_fit(self):
         assert issubclass(BandwidthTooSmall, SingularFit)
-        assert FIT_ERRORS == (SingularFit, ft.EmptyWindow)
+        assert FIT_ERRORS == (SingularFit, ft.EmptyWindow,
+                              FloatingPointError)
 
     @settings(max_examples=300, deadline=None)
     @given(case=failure_cases())
@@ -739,6 +751,43 @@ class TestScaleSafety:
         assert np.max(np.abs(est.dmu_hat[:, 0])) <= 1e-12 * 1.7e308
         assert np.array_equal(est.mu_hat[:, 1], ones.mu_hat[:, 1])
         assert np.array_equal(est.dmu_hat[:, 1], ones.dmu_hat[:, 1])
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_fit_past_the_float_range_raises(self, name):
+        # 1.7e308 cos(6 pi t): the slopes at all but every 10th stamp, and
+        # the boundary means of ll and the Jackknife, exceed the floats.
+        t = np.arange(60) / 60
+        series = FunctionalSeries(t, 1.7e308 * np.cos(6 * np.pi * t))
+        with pytest.raises(FloatingPointError, match=r"range at t=0$"):
+            fit(name, series, SmoothConfig(0.2), derivative=True)
+        if name == "nw":  # its mean stays finite
+            assert np.all(np.isfinite(
+                nadaraya_watson(series, SmoothConfig(0.2)).mu_hat))
+            return
+        # The first such point in eval_times order, not in time order.
+        with pytest.raises(FloatingPointError, match=f"t={t[35]:g}$"):
+            _fit(series, SmoothConfig(0.2), t[[10, 20, 35, 5]], name)
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_mean_only_fit_leaves_out_the_slopes(self, name):
+        # N(0,1) times 2^1020: the means stay in range, ll's and the
+        # Jackknife's slopes do not (nw's differences do).
+        x = np.random.default_rng(9).normal(size=(60, 20))
+        series, cfg = equi(np.ldexp(x, 1020)), SmoothConfig(0.2)
+        est = fit(name, series, cfg)
+        assert est.dmu_hat is None
+        full = fit(name, equi(x), cfg, derivative=True)
+        assert np.array_equal(est.mu_hat, np.ldexp(full.mu_hat, 1020))
+        if name != "nw":
+            with pytest.raises(FloatingPointError):
+                fit(name, series, cfg, derivative=True)
+
+    def test_nw_derivative_past_the_float_range_raises(self):
+        # Differences of +-1.7e308 overflow from the second stamp on.
+        mu = np.array([[0.0], [0.0], [1.7e308], [-1.7e308]])
+        est = ft.Estimate(np.arange(4) / 4, mu, None, np.ones(4, bool))
+        with pytest.raises(FloatingPointError, match=r"range at t=0.25$"):
+            nw_derivative(est)
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     @pytest.mark.parametrize("k", [-1000, 1000])

@@ -4,9 +4,9 @@ import pytest
 from ftsmooth import simulation
 from ftsmooth.bandwidth import AllBandwidthsInvalid, CvConfig
 from ftsmooth.simulation import (ERROR_PROCESSES, RESULT_FIELDS,
-                                 MeanOperator, SimSpec, apply_rho,
-                                 gen_errors, gen_series, monte_carlo, mu1,
-                                 mu2, rho_matrix, sample_bb, sample_bm)
+                                 MeanOperator, SimSpec, gen_errors,
+                                 gen_series, monte_carlo, mu1, mu2,
+                                 rho_matrix)
 
 RHO_SCALE = 0.3 * np.sqrt(6.0)
 
@@ -34,43 +34,43 @@ class TestMeanOperators:
 
 class TestBrownianSamplers:
     def test_bm_starts_at_zero(self):
-        assert sample_bm(100, np.random.default_rng(0))[0] == 0.0
+        assert gen_errors("bm", 1, 100, np.random.default_rng(0))[0, 0] == 0.0
 
     def test_bm_variance_at_one(self):
         rng = np.random.default_rng(1)
-        ends = np.array([sample_bm(100, rng)[-1] for _ in range(10000)])
+        ends = gen_errors("bm", 10000, 100, rng)[:, -1]
         assert ends.var() == pytest.approx(1.0, abs=0.05)
 
     def test_bm_covariance(self):
         rng = np.random.default_rng(2)
         x = np.arange(100) / 99
         i, j = np.searchsorted(x, 0.3), np.searchsorted(x, 0.7)
-        draws = np.array([sample_bm(100, rng) for _ in range(10000)])
+        draws = gen_errors("bm", 10000, 100, rng)
         cov = np.cov(draws[:, i], draws[:, j])[0, 1]
         assert cov == pytest.approx(0.3, abs=0.05)
 
     def test_bb_pinned(self):
-        b = sample_bb(50, np.random.default_rng(3))
+        b = gen_errors("bb", 1, 50, np.random.default_rng(3))[0]
         assert b[0] == 0.0 and abs(b[-1]) < 1e-14
 
     def test_bb_variance_at_half(self):
         rng = np.random.default_rng(4)
-        mids = np.array([sample_bb(101, rng)[50] for _ in range(10000)])
+        mids = gen_errors("bb", 10000, 101, rng)[:, 50]
         assert mids.var() == pytest.approx(0.25, abs=0.02)
 
     def test_bb_centered(self):
         rng = np.random.default_rng(5)
-        draws = np.array([sample_bb(50, rng) for _ in range(10000)])
+        draws = gen_errors("bb", 10000, 50, rng)
         assert np.max(np.abs(draws.mean(axis=0))) < 0.03
 
 
 class TestIntegralOperator:
     def test_zero_maps_to_zero(self):
-        assert np.all(apply_rho(np.zeros(100)) == 0.0)
+        assert np.all(rho_matrix(100) @ np.zeros(100) == 0.0)
 
     def test_constant_input_analytic(self):
         y = np.arange(100) / 99
-        out = apply_rho(np.ones(100))
+        out = rho_matrix(100) @ np.ones(100)
         expect = RHO_SCALE * (y - y ** 2 / 2)
         assert np.max(np.abs(out - expect)) < 1e-3
         assert out[-1] == pytest.approx(RHO_SCALE / 2, abs=1e-3)
@@ -78,8 +78,9 @@ class TestIntegralOperator:
     def test_linearity(self):
         rng = np.random.default_rng(6)
         f, g = rng.normal(size=100), rng.normal(size=100)
-        lhs = apply_rho(2.5 * f + g)
-        rhs = 2.5 * apply_rho(f) + apply_rho(g)
+        rho = rho_matrix(100)
+        lhs = rho @ (2.5 * f + g)
+        rhs = 2.5 * (rho @ f) + rho @ g
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_contraction(self):
