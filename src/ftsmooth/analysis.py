@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimators import Estimate
+from .estimators import Estimate, _finite
 from .series import (FunctionalSeries, ValueGrid, discretized_norm,
                      pow2_scaled)
 
@@ -54,7 +54,10 @@ def residual_norms(series: FunctionalSeries, smoothed: Estimate) -> np.ndarray:
             f"series {series.values.shape} vs smoothed {smoothed.mu_hat.shape}")
     if not np.array_equal(smoothed.times, series.times):
         raise ShapeMismatch("smoothed time stamps differ from the series'")
-    return discretized_norm(series.values - smoothed.mu_hat, series.norm)
+    with np.errstate(over="ignore"):  # an overflow raises in _finite
+        r = replace(smoothed, mu_hat=series.values - smoothed.mu_hat,
+                    dmu_hat=None)
+    return discretized_norm(_finite(r, "residual").mu_hat, series.norm)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Kernel smoothers for function-valued time series.
 
-Local linear fits solve, at each evaluation point t, the weighted least
+Local linear fits solve, at each time stamp t, the weighted least
 squares problem with weights K((t_i - t)/h); the intercept estimates the
 mean and the slope its time derivative. The Jackknife fit combines
 fits at bandwidths h and h/sqrt(2) so the leading bias terms cancel.
@@ -39,7 +39,7 @@ _JACKKNIFE = np.reshape([2.0, JACKKNIFE_DERIV_COEF_SMALL,
 # so the test depends on neither the time unit nor the 1/(nh) factor.
 _SINGULAR_RTOL = 1e-12
 
-# Evaluation points per block of a windowed fit.
+# Stamps per block of a windowed fit.
 _BLOCK = 32
 # Relative and absolute padding of a window's reach past h (_windows).
 _REACH_RTOL = 1e-12
@@ -164,77 +164,66 @@ def _equivalent_kernels(d, hs, kernel, names, slope=False):
 # Weights exist before the failure check: failing windows divide by zero
 # or overflow, and their rows are never returned.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _fit(series: FunctionalSeries, cfg: SmoothConfig, eval_times,
-         name: str, slope: bool = True) -> Estimate:
-    """The named estimator at eval_times (the stamps if None), with its
-    slopes if slope (nw has none), raising at the smallest failing
-    bandwidth's first point in eval_times order.
-    Sorted blocks of _BLOCK points each span only the training stamps
-    within their reach, so memory is O(block x window), not O(n_eval x n)."""
-    eval_times = np.asarray(
-        series.times if eval_times is None else eval_times, dtype=float)
-    if eval_times.ndim != 1:
-        raise ValueError("eval_times must be a 1d array")
-    if not np.all(np.isfinite(eval_times)):
-        raise ValueError("eval_times must be finite")
+def _fit(series: FunctionalSeries, cfg: SmoothConfig, name: str,
+         slope: bool = True) -> Estimate:
+    """The named estimator at the stamps, with its slopes if slope (nw has
+    none), raising at the smallest failing bandwidth's first failing stamp.
+    Blocks of _BLOCK stamps each span only the training stamps within
+    their reach, so memory is O(block x window), not O(n x n)."""
     h, times, values = cfg.bandwidth, series.times, series.values
     # Each column is fitted / 2**e as in pow2_scaled: exact, cannot overflow.
     e = np.frexp(np.maximum(values.max(axis=0), -values.min(axis=0)))[1]
-    order = np.argsort(eval_times, kind="stable")
-    ts = eval_times[order]
-    ne, p = ts.size, values.shape[1]
     slope = slope and name != "nw"
-    fits, failed = np.empty((1 + slope, ne, p)), np.empty(ne)
+    fits, failed = np.empty((1 + slope,) + values.shape), np.empty(times.size)
 
-    starts = np.arange(0, ne, _BLOCK)
-    stops = np.minimum(starts + _BLOCK, ne)
-    los, his = _windows(times, ts[starts], ts[stops - 1], h)
+    starts = np.arange(0, times.size, _BLOCK)
+    stops = np.minimum(starts + _BLOCK, times.size)
+    los, his = _windows(times, times[starts], times[stops - 1], h)
     for a, b, lo, hi in zip(starts, stops, los, his):
         weights, bad = _equivalent_kernels(
-            times[lo:hi] - ts[a:b, None], np.array([[h]]), cfg.kernel,
+            times[lo:hi] - times[a:b, None], np.array([[h]]), cfg.kernel,
             (name,), slope)[name]
-        fits[:, order[a:b]] = weights[:, :, 0] @ np.ldexp(values[lo:hi], -e)
-        failed[order[a:b]] = bad[:, 0]
+        fits[:, a:b] = weights[:, :, 0] @ np.ldexp(values[lo:hi], -e)
+        failed[a:b] = bad[:, 0]
     np.ldexp(fits, e, out=fits)
 
     if np.any(failed):
         bw = float(failed[failed > 0.0].min())
-        t = float(eval_times[np.argmax(failed == bw)])
+        t = float(times[np.argmax(failed == bw)])
         if name == "nw":
             raise EmptyWindow(t)
         # Too few stamps imply singular, so the count only names it.
-        count = np.count_nonzero(np.abs((series.times - t) / bw) <= 1.0)
+        count = np.count_nonzero(np.abs((times - t) / bw) <= 1.0)
         raise (BandwidthTooSmall if count < 2 else SingularFit)(t, bw)
-    return _finite(Estimate(eval_times, fits[0], fits[1] if slope else None,
-                            (eval_times >= h) & (eval_times <= 1.0 - h)))
+    return _finite(Estimate(times, fits[0], fits[1] if slope else None,
+                            (times >= h) & (times <= 1.0 - h)))
 
 
-def _finite(est: Estimate) -> Estimate:
-    """est, unless a value left the float range (np.ldexp and np.gradient
-    overflow to inf silently); else raise at the first bad entry of times."""
+def _finite(est: Estimate, what: str = "fit") -> Estimate:
+    """est, unless a value left the float range (np.ldexp, np.gradient and
+    differences overflow to inf silently); else raise at the first bad
+    entry of times."""
     parts = [v for v in (est.mu_hat, est.dmu_hat) if v is not None]
     if all(np.isfinite(v).all() for v in parts):
         return est
     bad = np.any([~np.isfinite(v).all(axis=1) for v in parts], axis=0)
     raise FloatingPointError(
-        f"fit leaves the float range at t={est.times[np.argmax(bad)]:g}")
+        f"{what} leaves the float range at t={est.times[np.argmax(bad)]:g}")
 
 
-def local_linear(series: FunctionalSeries, cfg: SmoothConfig,
-                 eval_times: np.ndarray | None = None) -> Estimate:
+def local_linear(series: FunctionalSeries, cfg: SmoothConfig) -> Estimate:
     """Local linear mean and derivative estimates.
 
-    Estimates are produced at every evaluation point, including boundary
-    points with truncated windows; interior_mask records where the
-    untruncated-window guarantees apply.
+    Estimates are produced at every stamp, including boundary stamps with
+    truncated windows; interior_mask records where the untruncated-window
+    guarantees apply.
     """
-    return _fit(series, cfg, eval_times, "ll")
+    return _fit(series, cfg, "ll")
 
 
-def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig,
-                    eval_times: np.ndarray | None = None) -> Estimate:
+def nadaraya_watson(series: FunctionalSeries, cfg: SmoothConfig) -> Estimate:
     """Kernel-weighted local average (mean only)."""
-    return _fit(series, cfg, eval_times, "nw")
+    return _fit(series, cfg, "nw")
 
 
 @np.errstate(over="ignore")  # an overflowing difference raises in _finite
@@ -254,11 +243,11 @@ def nw_derivative(est: Estimate) -> Estimate:
                                                      axis=0)))
 
 
-def jackknife_derivative(series: FunctionalSeries, cfg: SmoothConfig,
-                         eval_times: np.ndarray | None = None) -> Estimate:
+def jackknife_derivative(series: FunctionalSeries,
+                         cfg: SmoothConfig) -> Estimate:
     """Bias-reduced mean and derivative from the fits at h and h/sqrt(2),
     in one pass over the windows of h."""
-    return _fit(series, cfg, eval_times, "jackknife")
+    return _fit(series, cfg, "jackknife")
 
 
 # The estimators' names, for fit, cross-validation, the simulation and the CLI.
@@ -272,7 +261,7 @@ def fit(name: str, series: FunctionalSeries, cfg: SmoothConfig,
         derivative: bool = False) -> Estimate:
     """Fit the estimator named name, one of ESTIMATORS, at the stamps: its
     mean and, with derivative, its derivative (nw's from nw_derivative)."""
-    est = _fit(series, cfg, None, name, derivative)
+    est = _fit(series, cfg, name, derivative)
     if derivative and est.dmu_hat is None:
         est = nw_derivative(est)
     return est

@@ -6,7 +6,7 @@ import pytest
 from ftsmooth.analysis import (InputTooShort, ShapeMismatch, cusum,
                                detect_peaks, mae, mse,
                                residual_norms, sliding_embed)
-from ftsmooth.estimators import Estimate
+from ftsmooth.estimators import Estimate, SmoothConfig, fit
 from ftsmooth.series import FunctionalSeries, discretized_norm
 
 
@@ -82,6 +82,22 @@ class TestResidualNorms:
                            np.ones(s.n, dtype=bool))
         with pytest.raises(ShapeMismatch):
             residual_norms(s, shifted)
+
+    def test_residual_past_the_float_range_raises(self):
+        # One stamp at +1.7e308 among -1.7e308: nw's mean stays in range,
+        # but the residual at that stamp is about 3.4e308.
+        x = np.full(60, -1.7e308)
+        x[30] = 1.7e308
+        s = FunctionalSeries.equidistant(x)
+        est = fit("nw", s, SmoothConfig(0.2))
+        # In quarters the residuals are exact; only the one at t = 0.5
+        # exceeds the float range once scaled back.
+        quarter = np.ldexp(s.values, -2) - np.ldexp(est.mu_hat, -2)
+        big = np.abs(quarter[:, 0]) > np.ldexp(np.finfo(float).max, -2)
+        assert np.flatnonzero(big).tolist() == [30] and s.times[30] == 0.5
+        with pytest.raises(FloatingPointError) as exc:
+            residual_norms(s, est)
+        assert str(exc.value) == "residual leaves the float range at t=0.5"
 
 
 class TestCusum:

@@ -686,6 +686,21 @@ class TestAnalyze:
             picks.append(peaks["cusum_argmax_index"])
         assert picks[0] == picks[1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_residual_past_the_float_range_exits_4(self, runner, tmp_path):
+        # The fit stays in range, the residual at the +1.7e308 stamp does
+        # not: the run exits 4 before it writes any file.
+        x = np.full(60, -1.7e308)
+        x[30] = 1.7e308
+        inp, out = str(tmp_path / "spike.csv"), str(tmp_path / "spike")
+        write_input(inp, x[:, None])
+        res = runner.invoke(main, ["analyze", "--input", inp, "--estimator",
+                                   "nw", "--bandwidth", "0.2", "--out", out])
+        assert res.exit_code == 4, res.output
+        assert res.output == ("error: FloatingPointError: residual leaves "
+                              "the float range at t=0.5\n")
+        assert os.listdir(tmp_path) == ["spike.csv"]
+
     def test_sup_norm_is_row_max(self, runner, tmp_path):
         values = np.zeros((20, 3))
         values[7, 1] = -4.0

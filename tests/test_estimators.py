@@ -14,7 +14,7 @@ from ftsmooth.bandwidth import (CvConfig, _cv_reports, cross_validate,
 from ftsmooth.estimators import (BandwidthTooSmall, ESTIMATORS, FIT_ERRORS,
                                  SingularFit, JACKKNIFE_DERIV_COEF_LARGE,
                                  JACKKNIFE_DERIV_COEF_SMALL, _SINGULAR_RTOL,
-                                 _equivalent_kernels, _fit, _windows, fit)
+                                 _equivalent_kernels, _windows, fit)
 from ftsmooth.simulation import SimSpec, gen_series, mu1
 
 K = ft.quartic()
@@ -43,8 +43,8 @@ class TestLocalLinear:
         # leading bias kappa2 h^2 / 2 * mu'' = h^2 / 7 for mu = t^2
         n, h = 500, 0.1
         series = equi((np.arange(n) / n) ** 2)
-        est = local_linear(series, SmoothConfig(h), eval_times=np.array([0.5]))
-        err = est.mu_hat[0, 0] - 0.25
+        assert series.times[250] == 0.5
+        err = local_linear(series, SmoothConfig(h)).mu_hat[250, 0] - 0.25
         assert err == pytest.approx(h ** 2 / 7.0, rel=0.1)
 
     def test_matches_wls_oracle(self):
@@ -82,26 +82,24 @@ class TestLocalLinear:
             "window at t=0 has < 2 points (bandwidth 0.01)"
 
     def test_singular_fit(self):
-        # three points, but the outer two sit exactly on the kernel's
-        # support boundary: one effective point, degenerate fit
+        # three stamps 0.5 apart: each window holds its own stamp and the
+        # others exactly on the kernel's support boundary, one effective
+        # stamp, degenerate fit
         series = FunctionalSeries(np.array([0.0, 0.5, 1.0]),
                                   np.array([[0.0], [1.0], [2.0]]))
         with pytest.raises(SingularFit) as exc:
-            local_linear(series, SmoothConfig(0.5),
-                         eval_times=np.array([0.5]))
+            local_linear(series, SmoothConfig(0.5))
         assert str(exc.value) == \
-            "singular local linear fit at t=0.5 (bandwidth 0.5)"
+            "singular local linear fit at t=0 (bandwidth 0.5)"
 
-    @pytest.mark.parametrize("h, eval_times, t", [
-        (1 / 20, None, 0.0), (0.3, [1.2, 5.0], 1.2)],
-        ids=["on-the-stamps", "past-the-stamps"])
-    def test_first_failing_point_is_named(self, h, eval_times, t):
+    @pytest.mark.parametrize("h, t", [(1 / 20, 0.0)], ids=["on-the-stamps"])
+    def test_first_failing_point_is_named(self, h, t):
         # A later window with < 2 stamps does not take precedence: t=0.75's
-        # window at h = 1/20 and t=5's at h = 0.3 hold at most one stamp,
-        # but the windows at t=0 and t=1.2 hold two, one of them at |u| = 1.
+        # window at h = 1/20 holds one stamp, but the window at t=0 holds
+        # two, one of them at |u| = 1.
         series = equi(np.arange(20.0))
         with pytest.raises(SingularFit) as exc:
-            local_linear(series, SmoothConfig(h), eval_times)
+            local_linear(series, SmoothConfig(h))
         assert type(exc.value) is SingularFit
         assert str(exc.value) == \
             f"singular local linear fit at t={t:g} (bandwidth {h:g})"
@@ -117,12 +115,10 @@ class TestNadarayaWatson:
     def test_three_point_hand_computation(self):
         series = FunctionalSeries(np.array([0.0, 0.5, 1.0]),
                                   np.array([[0.0], [1.0], [2.0]]))
-        est = nadaraya_watson(series, SmoothConfig(0.6),
-                              eval_times=np.array([0.5]))
+        mu = nadaraya_watson(series, SmoothConfig(0.6)).mu_hat[1, 0]
         w = K(np.array([-5 / 6, 0.0, 5 / 6]))
-        assert est.mu_hat[0, 0] == pytest.approx(
-            float(w @ [0, 1, 2] / w.sum()), abs=1e-15)
-        assert est.mu_hat[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert mu == pytest.approx(float(w @ [0, 1, 2] / w.sum()), abs=1e-15)
+        assert mu == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(3)
@@ -134,10 +130,11 @@ class TestNadarayaWatson:
             assert np.max(np.abs(est.mu_hat[i] - direct)) <= 1e-12
 
     def test_empty_window(self):
+        # RING weighs no stamp at |u| <= 1/2, its own included.
         series = FunctionalSeries(np.array([0.0, 0.01]), np.zeros((2, 1)))
-        with pytest.raises(ft.EmptyWindow):
-            nadaraya_watson(series, SmoothConfig(0.05),
-                            eval_times=np.array([0.9]))
+        with pytest.raises(ft.EmptyWindow) as exc:
+            nadaraya_watson(series, SmoothConfig(0.05, RING))
+        assert exc.value.t == 0.0
 
 
 class TestNwDerivative:
@@ -187,11 +184,11 @@ class TestJackknife:
     def test_second_order_bias_cancellation(self):
         n, h = 500, 0.1
         series = equi((np.arange(n) / n) ** 2)
-        t = np.array([0.5])
-        err_ll = abs(local_linear(series, SmoothConfig(h), t).mu_hat[0, 0]
+        assert series.times[250] == 0.5
+        err_ll = abs(local_linear(series, SmoothConfig(h)).mu_hat[250, 0]
                      - 0.25)
-        jk = jackknife_derivative(series, SmoothConfig(h), t)
-        err_jk = abs(jk.mu_hat[0, 0] - 0.25)
+        jk = jackknife_derivative(series, SmoothConfig(h))
+        err_jk = abs(jk.mu_hat[250, 0] - 0.25)
         assert err_jk <= err_ll / 10.0
 
     def test_error_decays_faster_than_h_squared(self):
@@ -200,12 +197,13 @@ class TestJackknife:
         # genuine bandwidth scaling.
         n = 500
         times = np.arange(n) / n
-        interior = times[(times >= 0.2) & (times <= 0.8)]
+        inner = (times >= 0.2) & (times <= 0.8)
+        interior = times[inner]
 
         def interior_err(values, truth, h):
             series = equi(values)
-            est = jackknife_derivative(series, SmoothConfig(h), interior)
-            return np.max(np.abs(est.mu_hat[:, 0] - truth))
+            est = jackknife_derivative(series, SmoothConfig(h))
+            return np.max(np.abs(est.mu_hat[inner, 0] - truth))
 
         e1 = interior_err(times ** 4, interior ** 4, 0.1)
         e2 = interior_err(times ** 4, interior ** 4, 0.2)
@@ -222,11 +220,12 @@ class TestJackknife:
         n, h = 500, 0.15
         times = np.arange(n) / n
         series = equi(times ** 3)
-        t = times[(times >= h) & (times <= 1 - h)]
-        ll = local_linear(series, SmoothConfig(h), t)
-        jk = jackknife_derivative(series, SmoothConfig(h), t)
-        err_ll = np.max(np.abs(ll.dmu_hat[:, 0] - 3 * t ** 2))
-        err_jk = np.max(np.abs(jk.dmu_hat[:, 0] - 3 * t ** 2))
+        inner = (times >= h) & (times <= 1 - h)
+        t = times[inner]
+        ll = local_linear(series, SmoothConfig(h))
+        jk = jackknife_derivative(series, SmoothConfig(h))
+        err_ll = np.max(np.abs(ll.dmu_hat[inner, 0] - 3 * t ** 2))
+        err_jk = np.max(np.abs(jk.dmu_hat[inner, 0] - 3 * t ** 2))
         assert err_jk < err_ll
 
     def test_derivative_coefficient_identity(self):
@@ -246,8 +245,7 @@ class TestJackknife:
         series = FunctionalSeries(np.array([0.0, 0.5, 1.0]),
                                   np.array([[0.0], [1.0], [2.0]]))
         with pytest.raises((SingularFit, BandwidthTooSmall)) as exc:
-            jackknife_derivative(series, SmoothConfig(0.5),
-                                 eval_times=np.array([0.5]))
+            jackknife_derivative(series, SmoothConfig(0.5))
         assert exc.value.bandwidth is not None
 
     def test_too_small_names_the_small_bandwidth(self):
@@ -356,50 +354,54 @@ class TestSharedProperties:
         assert np.max(np.abs(est2.dmu_hat - est.dmu_hat[:, perm])) <= tol
 
     def test_nw_ll_proximity_improves_with_n(self):
-        # At grid-aligned interior points the window is exactly symmetric
-        # and both estimators coincide; evaluate slightly off-grid so the
-        # design moment S1 is nonzero and shrinks like 1/(n h).
+        # On equidistant stamps the interior windows are exactly symmetric
+        # and both estimators coincide; jitter the stamps so the design
+        # moment S1 is nonzero and shrinks with n h.
         h = 0.15
-        eval_grid = np.linspace(0.2, 0.8, 37) + 1e-4
 
         def max_diff(n):
-            times = np.arange(n) / n
-            series = equi(np.sin(2 * np.pi * times))
+            rng = np.random.default_rng(n)
+            times = (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
+            series = FunctionalSeries(times, np.sin(2 * np.pi * times))
             cfg = SmoothConfig(h)
-            ll = local_linear(series, cfg, eval_grid)
-            nw = nadaraya_watson(series, cfg, eval_grid)
-            return np.max(np.abs(ll.mu_hat - nw.mu_hat))
+            ll = local_linear(series, cfg)
+            nw = nadaraya_watson(series, cfg)
+            inner = (times >= 0.2) & (times <= 0.8)
+            return np.max(np.abs(ll.mu_hat - nw.mu_hat)[inner])
 
         assert max_diff(2000) < max_diff(200)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+
+class TestFitsAtTheStamps:
+    """Every fit is at the series' stamps; there is no evaluation grid."""
+
     @pytest.mark.parametrize("fit", [local_linear, jackknife_derivative,
                                      nadaraya_watson])
-    def test_non_finite_eval_times_rejected(self, fit, bad):
+    def test_no_evaluation_points_argument(self, fit):
         series = equi(np.arange(50.0))
-        with pytest.raises(ValueError, match="eval_times must be finite"):
-            fit(series, SmoothConfig(0.2), np.array([0.5, bad, 0.25]))
+        with pytest.raises(TypeError):
+            fit(series, SmoothConfig(0.2), np.array([0.25, 0.5]))
 
-    @pytest.mark.parametrize("bad", [0.5, [[0.5, 0.6]]], ids=["0d", "2d"])
-    @pytest.mark.parametrize("fit", [local_linear, jackknife_derivative,
-                                     nadaraya_watson])
-    def test_non_1d_eval_times_rejected(self, fit, bad):
-        series = equi(np.arange(50.0))
-        with pytest.raises(ValueError, match="eval_times must be a 1d array"):
-            fit(series, SmoothConfig(0.2), bad)
-
-    def test_evaluation_grid_override(self):
-        series = equi(np.arange(50.0))
-        grid = np.array([0.25, 0.5, 0.75])
-        est = local_linear(series, SmoothConfig(0.2), eval_times=grid)
-        assert np.array_equal(est.times, grid)
-        assert est.mu_hat.shape == (3, 1)
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_times_are_the_stamps(self, name):
+        rng = np.random.default_rng(12)
+        series = FunctionalSeries(np.sort(rng.uniform(0, 1, 80)),
+                                  rng.normal(size=(80, 2)))
+        est = fit(name, series, SmoothConfig(0.2))
+        assert np.array_equal(est.times, series.times)
+        assert est.mu_hat.shape == series.values.shape
 
 
 def interpolated(grid, values):
     """A kernel other than the quartic: any callable serves as ``kernel=``.
     The values at the end nodes +-1 are 0, so it weighs 0 outside them."""
     return lambda u: np.interp(u, grid, values)
+
+
+# K > 0 only on 1/2 < |u| < 1: unlike the quartic, a stamp does not weigh
+# itself, so a window at a stamp can be empty.
+RING = interpolated([-1.0, -0.75, -0.5, 0.5, 0.75, 1.0],
+                    [0.0, 2.0, 0.0, 0.0, 2.0, 0.0])
 
 
 def tabulated_quartic():
@@ -411,10 +413,10 @@ def tabulated_quartic():
     return interpolated(grid, values)
 
 
-def dense_ll_failures(train, eval_times, h, kernel=K):
+def dense_ll_failures(train, points, h, kernel=K):
     """dense_fit's local linear failure mask at each evaluation point, and
     its count of stamps with |u| <= 1."""
-    u = (train.times[None, :] - eval_times[:, None]) / h
+    u = (train.times[None, :] - points[:, None]) / h
     w = kernel(u)
     wu = w * u
     s0, s1, s2 = w.sum(axis=1), wu.sum(axis=1), (wu * u).sum(axis=1)
@@ -423,15 +425,15 @@ def dense_ll_failures(train, eval_times, h, kernel=K):
     return (counts < 2) | singular, counts
 
 
-def dense_fit(train, eval_times, h, estimator, kernel=K):
+def dense_fit(train, points, h, estimator, kernel=K):
     """Mean and (ll only) slope fits from dense n_eval x n_train kernel
     sums over every training stamp; None if the fit fails at any point."""
-    u = (train.times[None, :] - eval_times[:, None]) / h
+    u = (train.times[None, :] - points[:, None]) / h
     w = kernel(u)
     s0, r0 = w.sum(axis=1), w @ train.values
     if estimator == "nw":
         return None if np.any(s0 <= 0.0) else (r0 / s0[:, None], None)
-    if np.any(dense_ll_failures(train, eval_times, h, kernel)[0]):
+    if np.any(dense_ll_failures(train, points, h, kernel)[0]):
         return None
     wu = w * u
     s1, s2, r1 = wu.sum(axis=1), (wu * u).sum(axis=1), wu @ train.values
@@ -479,22 +481,21 @@ def window_offsets():
 
 @st.composite
 def failure_cases(draw):
-    """Stamps i/n, a bandwidth of one stamp spacing or a fraction to a few,
-    and evaluation points anywhere in [-0.5, 1.5], on a stamp or exactly h
-    from one."""
+    """n = 2 to 40 stamps, i/n or sorted distinct ones in [0, 1], and a
+    bandwidth of one mean stamp spacing or a fraction to a few."""
     n = draw(st.integers(2, 40))
-    series = equi(np.arange(float(n)))
+    times = draw(st.one_of(
+        st.just(np.arange(n) / n),
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n,
+                 unique=True).map(np.sort)))
     h = draw(st.one_of(st.just(1.0 / n),
                        st.floats(0.2 / n, min(3.0 / n, 1.0))))
-    stamp = st.sampled_from(series.times.tolist())
-    point = st.one_of(st.floats(-0.5, 1.5), stamp,
-                      stamp.map(lambda t: t - h), stamp.map(lambda t: t + h))
-    return series, h, np.array(draw(st.lists(point, min_size=1, max_size=40)))
+    return FunctionalSeries(times, np.arange(float(n))), h
 
 
 class TestFailureRule:
     """The degenerate-design test alone fails the windows with < 2 stamps,
-    so CV counts no stamps and the fits count them at one point only."""
+    so CV counts no stamps and the fits count them at one stamp only."""
 
     @pytest.mark.parametrize("kernel", [K, tabulated_quartic()],
                              ids=["quartic", "custom"])
@@ -513,33 +514,36 @@ class TestFailureRule:
                 assert failed.all()
 
     def test_failed_is_the_failing_bandwidth(self):
-        # K > 0 only on 1/2 < |u| < 1: stamps at +-0.4 h weigh 0 at h but not
-        # at h / sqrt(2), so the jackknife's large fit fails alone there.
-        ring = interpolated([-1.0, -0.75, -0.5, 0.5, 0.75, 1.0],
-                            [0.0, 2.0, 0.0, 0.0, 2.0, 0.0])
+        # Under RING stamps at +-0.4 h weigh 0 at h but not at h / sqrt(2),
+        # so the jackknife's large fit fails alone there.
         h = 0.1
         d = h * np.array([[-0.6, 0.6, 5.0], [-0.4, 0.4, 5.0], [5.0, 5.0, 5.0]])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _equivalent_kernels(d, np.array([[h]]), ring, ESTIMATORS)
+            out = _equivalent_kernels(d, np.array([[h]]), RING, ESTIMATORS)
         expected = {"ll": [0.0, h, h], "nw": [0.0, h, h],
                     "jackknife": [0.0, h, h / np.sqrt(2.0)]}
         for name in ESTIMATORS:
             assert out[name][1][:, 0].tolist() == expected[name]
-        series = FunctionalSeries(np.array([0.46, 0.54]), np.ones((2, 1)))
+        # Stamps at 0.3 + h * (0, 0.4, 0.45, 0.85, 0.9): every window at
+        # h / sqrt(2) weighs two offsets, but the one at 0.34 weighs none
+        # at h, so the fit at h fails there alone.
+        times = 0.3 + h * np.array([0.0, 0.4, 0.45, 0.85, 0.9])
+        series = FunctionalSeries(times, np.ones((5, 1)))
+        local_linear(series, SmoothConfig(h / np.sqrt(2.0), RING))
         with pytest.raises(SingularFit) as exc:
-            jackknife_derivative(series, SmoothConfig(h, ring), np.array([0.5]))
+            jackknife_derivative(series, SmoothConfig(h, RING))
         assert type(exc.value) is SingularFit
-        assert (exc.value.t, exc.value.bandwidth) == (0.5, h)
+        assert (exc.value.t, exc.value.bandwidth) == (times[1], h)
 
     def test_stamps_at_the_window_edge_weigh_nothing(self):
-        # Both stamps at |u| = 1: nw's window is empty, while ll counts
-        # two stamps in |u| <= 1 and names a plain SingularFit.
+        # Each stamp sees the other at |u| = 1: under RING, which weighs
+        # no stamp at u = 0 either, nw's window is empty, while ll counts two
+        # stamps in |u| <= 1 and names a plain SingularFit.
         series = FunctionalSeries(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
-        at = np.array([0.25])
         with pytest.raises(ft.EmptyWindow):
-            nadaraya_watson(series, SmoothConfig(0.25), at)
+            nadaraya_watson(series, SmoothConfig(0.5, RING))
         with pytest.raises(SingularFit) as exc:
-            local_linear(series, SmoothConfig(0.25), at)
+            local_linear(series, SmoothConfig(0.5))
         assert type(exc.value) is SingularFit
 
     def test_too_few_stamps_is_a_singular_fit(self):
@@ -550,36 +554,36 @@ class TestFailureRule:
     @settings(max_examples=300, deadline=None)
     @given(case=failure_cases())
     def test_first_failing_point_is_named(self, case):
-        series, h, eval_times = case
-        fails, counts = dense_ll_failures(series, eval_times, h)
+        series, h = case
+        fails, counts = dense_ll_failures(series, series.times, h)
         if not np.any(fails):
-            local_linear(series, SmoothConfig(h), eval_times)
+            local_linear(series, SmoothConfig(h))
             return
         i = np.argmax(fails)
         with pytest.raises(SingularFit) as exc:
-            local_linear(series, SmoothConfig(h), eval_times)
-        assert exc.value.t == eval_times[i]
+            local_linear(series, SmoothConfig(h))
+        assert exc.value.t == series.times[i]
         assert type(exc.value) is (BandwidthTooSmall if counts[i] < 2
                                    else SingularFit)
 
     @settings(max_examples=300, deadline=None)
     @given(case=failure_cases())
     def test_jackknife_names_the_small_bandwidth_first(self, case):
-        # The first failure at h / sqrt(2) in eval_times order, if any,
-        # else the first at h.
-        series, h, eval_times = case
+        # The first failing stamp at h / sqrt(2), if any, else the first
+        # at h.
+        series, h = case
         for bw in (h / np.sqrt(2.0), h):
-            fails, counts = dense_ll_failures(series, eval_times, bw)
+            fails, counts = dense_ll_failures(series, series.times, bw)
             if np.any(fails):
                 i = np.argmax(fails)
                 with pytest.raises(SingularFit) as exc:
-                    jackknife_derivative(series, SmoothConfig(h), eval_times)
-                assert exc.value.t == eval_times[i]
+                    jackknife_derivative(series, SmoothConfig(h))
+                assert exc.value.t == series.times[i]
                 assert exc.value.bandwidth == bw
                 assert type(exc.value) is (BandwidthTooSmall if counts[i] < 2
                                            else SingularFit)
                 return
-        jackknife_derivative(series, SmoothConfig(h), eval_times)
+        jackknife_derivative(series, SmoothConfig(h))
 
 
 @st.composite
@@ -638,19 +642,15 @@ class TestWindowedSums:
             values = rng.normal(size=(n, 1024))[keep]
         series = FunctionalSeries(np.arange(n)[keep] / n, values)
         h = k / n
-        stamps = np.arange(n) / n
-        eval_times = rng.permutation(np.concatenate([
-            [0.0, 1.0 - 1.0 / n], stamps[::3],
-            np.minimum(stamps[::7] + h, 1.0), rng.uniform(0, 1, 40)]))
-        assert np.any(np.diff(eval_times) < 0)
         cfg = SmoothConfig(h, kernel)
-        ll = local_linear(series, cfg, eval_times)
-        jk = jackknife_derivative(series, cfg, eval_times)
-        nw = nadaraya_watson(series, cfg, eval_times)
-        mu, dmu = dense_fit(series, eval_times, h, "ll", kernel)
-        small_mu, small_dmu = dense_fit(series, eval_times, h / np.sqrt(2.0),
-                                        "ll", kernel)
-        nw_mu, _ = dense_fit(series, eval_times, h, "nw", kernel)
+        ll = local_linear(series, cfg)
+        jk = jackknife_derivative(series, cfg)
+        nw = nadaraya_watson(series, cfg)
+        t = series.times
+        mu, dmu = dense_fit(series, t, h, "ll", kernel)
+        small_mu, small_dmu = dense_fit(series, t, h / np.sqrt(2.0), "ll",
+                                        kernel)
+        nw_mu, _ = dense_fit(series, t, h, "nw", kernel)
         assert np.max(np.abs(ll.mu_hat - mu)) <= 1e-10
         assert np.max(np.abs(ll.dmu_hat - dmu)) * h <= 1e-10
         assert np.max(np.abs(jk.mu_hat - (2.0 * small_mu - mu))) <= 1e-10
@@ -658,20 +658,6 @@ class TestWindowedSums:
             jk.dmu_hat - (JACKKNIFE_DERIV_COEF_SMALL * small_dmu
                           - JACKKNIFE_DERIV_COEF_LARGE * dmu))) * h <= 1e-10
         assert np.max(np.abs(nw.mu_hat - nw_mu)) <= 1e-10
-
-    def test_unsorted_errors_name_the_same_point(self):
-        series = equi(np.arange(20.0))
-        # windows at 0.9 and 0.1 hold one stamp each; the first in input
-        # order is reported, as with dense sums
-        eval_times = np.array([0.52, 0.9, 0.13, 0.1])
-        with pytest.raises(BandwidthTooSmall) as exc:
-            local_linear(series, SmoothConfig(0.04), eval_times)
-        assert exc.value.t == 0.9
-        far = FunctionalSeries(np.array([0.0, 0.01]), np.zeros((2, 1)))
-        with pytest.raises(ft.EmptyWindow) as exc:
-            nadaraya_watson(far, SmoothConfig(0.05),
-                            np.array([0.0, 0.9, 0.005, 0.7]))
-        assert exc.value.t == 0.9
 
     @staticmethod
     def assert_cv_matches_dense(series, estimator):
@@ -763,10 +749,6 @@ class TestScaleSafety:
         if name == "nw":  # its mean stays finite
             assert np.all(np.isfinite(
                 nadaraya_watson(series, SmoothConfig(0.2)).mu_hat))
-            return
-        # The first such point in eval_times order, not in time order.
-        with pytest.raises(FloatingPointError, match=f"t={t[35]:g}$"):
-            _fit(series, SmoothConfig(0.2), t[[10, 20, 35, 5]], name)
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_mean_only_fit_leaves_out_the_slopes(self, name):
