@@ -7,7 +7,7 @@ from .series import FunctionalSeries, ValueGrid
 from .estimators import (SmoothConfig, Estimate, local_linear,
                          nadaraya_watson, nw_derivative, jackknife_derivative,
                          SingularFit, BandwidthTooSmall, EmptyWindow,
-                         NonEquidistant)
+                         NonEquidistant, ESTIMATORS, FIT_ERRORS, fit)
 from .bandwidth import (CvConfig, CvReport, AllBandwidthsInvalid,
                         bandwidth_grid, cross_validate)
 from .analysis import (mse, mae, residual_norms, cusum, detect_peaks,
@@ -17,7 +17,7 @@ from .analysis import (mse, mae, residual_norms, cusum, detect_peaks,
 __all__ = [
     "Kernel", "quartic", "FunctionalSeries", "ValueGrid",
     "SmoothConfig", "Estimate", "local_linear", "nadaraya_watson",
-    "nw_derivative", "jackknife_derivative",
+    "nw_derivative", "jackknife_derivative", "ESTIMATORS", "FIT_ERRORS", "fit",
     "SingularFit", "BandwidthTooSmall", "EmptyWindow", "NonEquidistant",
     "CvConfig", "CvReport", "AllBandwidthsInvalid",
     "bandwidth_grid", "cross_validate",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import _SQRT2, Kernel, quartic
-from .series import FunctionalSeries
+from .series import FunctionalSeries, pow2_scaled
 
 __all__ = [
     "SmoothConfig", "Estimate",
@@ -109,8 +109,7 @@ def _windows(times, first, last, h: float):
     t +- h never drops a stamp the test |u| <= 1 keeps: a slice only
     bounds the work, the test alone decides window membership.
     """
-    reach = h * (1.0 + _REACH_RTOL) + _REACH_ATOL * max(
-        np.max(np.abs(first), initial=1.0), np.max(np.abs(last), initial=1.0))
+    reach = h * (1.0 + _REACH_RTOL) + _REACH_ATOL  # stamps, points in [0, 1]
     return (np.searchsorted(times, first - reach, "left"),
             np.searchsorted(times, last + reach, "right"))
 
@@ -170,9 +169,8 @@ def _fit(series: FunctionalSeries, cfg: SmoothConfig, name: str,
     none), raising at the smallest failing bandwidth's first failing stamp.
     Blocks of _BLOCK stamps each span only the training stamps within
     their reach, so memory is O(block x window), not O(n x n)."""
-    h, times, values = cfg.bandwidth, series.times, series.values
-    # Each column is fitted / 2**e as in pow2_scaled: exact, cannot overflow.
-    e = np.frexp(np.maximum(values.max(axis=0), -values.min(axis=0)))[1]
+    h, times = cfg.bandwidth, series.times
+    values, e = pow2_scaled(series.values, axis=0)  # exact, cannot overflow
     slope = slope and name != "nw"
     fits, failed = np.empty((1 + slope,) + values.shape), np.empty(times.size)
 
@@ -183,7 +181,7 @@ def _fit(series: FunctionalSeries, cfg: SmoothConfig, name: str,
         weights, bad = _equivalent_kernels(
             times[lo:hi] - times[a:b, None], np.array([[h]]), cfg.kernel,
             (name,), slope)[name]
-        fits[:, a:b] = weights[:, :, 0] @ np.ldexp(values[lo:hi], -e)
+        fits[:, a:b] = weights[:, :, 0] @ values[lo:hi]
         failed[a:b] = bad[:, 0]
     np.ldexp(fits, e, out=fits)
 

@@ -772,7 +772,9 @@ class TestScaleSafety:
             nw_derivative(est)
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-    @pytest.mark.parametrize("k", [-1000, 1000])
+    # Per column: one global exponent would flush the 2^-1000 column.
+    @pytest.mark.parametrize("k", [-1000, 1000, pytest.param(
+        np.array([-1000, 0, 1000]), id="per-column")])
     def test_power_of_two_scale_is_exact(self, name, k):
         values = np.random.default_rng(2).normal(size=(90, 3))
         cfg = SmoothConfig(0.1)

@@ -12,3 +12,11 @@ def test_every_exported_name_resolves_once():
         assert len(names) == len(set(names)), module.__name__
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_the_one_fit_is_exported():
+    from ftsmooth import estimators
+
+    for name in ("fit", "ESTIMATORS", "FIT_ERRORS"):
+        assert name in ftsmooth.__all__, name
+        assert getattr(ftsmooth, name) is getattr(estimators, name), name
