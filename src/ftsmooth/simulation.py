@@ -10,7 +10,7 @@ fit times.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -107,8 +107,6 @@ def _innovations(process: str, count: int, m: int,
                  rng: np.random.Generator) -> np.ndarray:
     """count Brownian motions on the grid j/(m-1), one per row; Brownian
     bridges B(t) = W(t) - t W(1) for the bb-based processes."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
     out = np.zeros((count, m))
     np.cumsum(rng.standard_normal((count, m - 1)) / np.sqrt(m - 1), axis=1,
               out=out[:, 1:])
@@ -126,6 +124,8 @@ def _trapezoid_weights(m: int) -> np.ndarray:
 
 def rho_matrix(m: int) -> np.ndarray:
     """Discretized integral operator with kernel 0.3 sqrt(6) min(x, y)."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
     x = np.arange(m) / (m - 1)
     return (_RHO_SCALE * np.minimum.outer(x, x)) * _trapezoid_weights(m)
 
@@ -140,8 +140,13 @@ def gen_errors(process: str, n: int, m: int,
 
     Autoregressive variants start from a fresh innovation and discard
     FAR_BURN_IN iterations; time-varying coefficients use the emitted stamp
-    i/n, frozen at sigma(1/n) during burn-in.
+    i/n, frozen at sigma(1/n) during burn-in. Every process refuses n < 1
+    and m < 2 before it draws.
     """
+    if process not in ERROR_PROCESSES:
+        raise ValueError(f"unknown error process {process!r}")
+    if n < 1 or m < 2:
+        raise ValueError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
     if process == "none":
         return np.zeros((n, m))
     if process in ("bm", "bb"):
@@ -151,8 +156,6 @@ def gen_errors(process: str, n: int, m: int,
         t = np.arange(n) / n
         return _sigma(t)[:, None] * eta
 
-    if process not in ("farbm", "farbb", "tvfar1", "tvfar2"):
-        raise ValueError(f"unknown error process {process!r}")
     rho = rho_matrix(m)
     eta = _innovations(process, FAR_BURN_IN + n + 1, m, rng)
     # eps <- a (rho eps) + b eta: a and b are 1 or sigma, and 1.0 * x is exact.
@@ -181,12 +184,6 @@ def gen_series(spec: SimSpec, rep: int):
             truth_dmu)
 
 
-# Wall-clock fit times are deliberately left out: simulate result
-# files must be byte-identical across reruns with the same seed.
-RESULT_FIELDS = ("estimator", "target", "n", "m", "reps",
-                 "mean_mse", "sd_mse", "mean_mae", "sd_mae")
-
-
 @dataclass(frozen=True)
 class ResultRow:
     estimator: str
@@ -199,6 +196,12 @@ class ResultRow:
     mean_mae: float
     sd_mae: float
     mean_fit_ms: float
+
+
+# Wall-clock fit times are deliberately left out: simulate result
+# files must be byte-identical across reruns with the same seed.
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow)
+                      if f.name != "mean_fit_ms")
 
 
 @dataclass
@@ -215,6 +218,9 @@ class ResultsTable:
 
 def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
              kernel: Kernel):
+    """Map each estimator to the exception that stopped it, or to its
+    record: each target's (mse, mae) under its name, "mu" and "dmu", and
+    the fit's wall-clock milliseconds under "fit_ms"."""
     series, truth_mu, truth_dmu = gen_series(spec, rep)
     out = _cv_reports(series, cv, estimators, kernel)  # failures as values
     for name, report in out.items():
@@ -228,9 +234,11 @@ def _run_rep(spec: SimSpec, rep: int, estimators, cv: CvConfig,
         except FIT_ERRORS as exc:
             out[name] = exc
             continue
-        out[name] = (mse(est.mu_hat, truth_mu), mae(est.mu_hat, truth_mu),
-                     mse(est.dmu_hat, truth_dmu),
-                     mae(est.dmu_hat, truth_dmu), fit_ms)
+        out[name] = {"mu": (mse(est.mu_hat, truth_mu),
+                            mae(est.mu_hat, truth_mu)),
+                     "dmu": (mse(est.dmu_hat, truth_dmu),
+                             mae(est.dmu_hat, truth_dmu)),
+                     "fit_ms": fit_ms}
     return out
 
 
@@ -263,16 +271,15 @@ def monte_carlo(spec: SimSpec, estimators=tuple(ESTIMATORS),
         table.failures[name] = spec.reps - len(records)
         if not records:
             continue
-        arr = np.array(records)  # columns: mse_mu, mae_mu, mse_dmu, mae_dmu, ms
-        for target, (c_mse, c_mae) in (("mu", (0, 1)), ("dmu", (2, 3))):
+        fit_ms = float(np.mean([r["fit_ms"] for r in records]))
+        for target in ("mu", "dmu"):
+            mses, maes = np.array([r[target] for r in records]).T
             table.rows.append(ResultRow(
                 estimator=name, target=target, n=spec.n, m=spec.m,
                 reps=len(records),
-                mean_mse=float(arr[:, c_mse].mean()),
-                sd_mse=float(arr[:, c_mse].std()),
-                mean_mae=float(arr[:, c_mae].mean()),
-                sd_mae=float(arr[:, c_mae].std()),
-                mean_fit_ms=float(arr[:, 4].mean()),
+                mean_mse=float(mses.mean()), sd_mse=float(mses.std()),
+                mean_mae=float(maes.mean()), sd_mae=float(maes.std()),
+                mean_fit_ms=fit_ms,
             ))
     if not table.rows:  # nothing to report: raise the first failure
         raise per_rep[0][estimators[0]]

@@ -108,10 +108,13 @@ class TestStarMoments:
 
     @pytest.mark.parametrize("ell", range(9))
     def test_moments_of_the_rescaled_kernel(self, ell):
-        # y = sqrt(2) x turns the integral of x^ell 2 sqrt(2) K(sqrt(2) x)
-        # into 2^(1 - ell/2) moment(ell), for any kernel on [-1, 1].
-        assert K.moment_star(ell) == pytest.approx(
-            (2 ** (1 - ell / 2) - 1) * K.moment(ell), abs=1e-9)
+        # Against composite Simpson of x^ell K*(x) on [-1, 1], not against
+        # the substitution the library's closed form is built on.
+        x = np.linspace(-1.0, 1.0, 2049)
+        y = x ** ell * K.eval_star(x)
+        simpson = (x[1] - x[0]) / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
+                                         + 2.0 * y[2:-1:2].sum())
+        assert K.moment_star(ell) == pytest.approx(simpson, abs=1e-9)
 
 
 class TestCustomKernel:

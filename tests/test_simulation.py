@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ftsmooth import simulation
-from ftsmooth.bandwidth import AllBandwidthsInvalid, CvConfig
-from ftsmooth.simulation import (ERROR_PROCESSES, RESULT_FIELDS,
-                                 MeanOperator, SimSpec, gen_errors,
-                                 gen_series, monte_carlo, mu1, mu2,
-                                 rho_matrix)
+from ftsmooth.analysis import mae, mse
+from ftsmooth.bandwidth import AllBandwidthsInvalid, CvConfig, cross_validate
+from ftsmooth.estimators import ESTIMATORS, SmoothConfig, fit
+from ftsmooth.simulation import (ERROR_PROCESSES, RESULT_FIELDS, SimSpec,
+                                 gen_errors, gen_series, monte_carlo, mu1,
+                                 mu2, rho_matrix)
 
 RHO_SCALE = 0.3 * np.sqrt(6.0)
 
@@ -111,6 +114,22 @@ class TestGenErrors:
             rng = np.random.default_rng([9, rep])
             acc += gen_errors(process, n, m, rng).mean()
         assert abs(acc / reps) < 0.05
+
+    @pytest.mark.parametrize("process", ERROR_PROCESSES)
+    @pytest.mark.parametrize("n, m", [(0, 5), (-1, 5), (5, 1), (5, 0)])
+    def test_sizes_refused_before_any_draw(self, process, n, m):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n >= 1 and m >= 2"):
+                gen_errors(process, n, m, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_rho_matrix_refuses_fewer_than_two_points(self, m):
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            rho_matrix(m)
 
     def test_none_process(self):
         assert np.all(gen_errors("none", 10, 5,
@@ -220,9 +239,7 @@ class TestGenSeries:
 
 class TestMonteCarlo:
     def test_zero_noise_constant_mean(self):
-        flat = MeanOperator(eval=lambda t, x: 1.0 + 0.0 * t + 0.0 * x,
-                            d_eval=lambda t, x: 0.0 * t + 0.0 * x)
-        spec = SimSpec(flat, "none", 40, 10, 2, 0)
+        spec = SimSpec(simulation.flat(), "none", 40, 10, 2, 0)
         table = monte_carlo(spec, ("ll", "jackknife", "nw"),
                             CvConfig(k=5, grid_size=6), threads=1)
         for row in table.rows:
@@ -277,3 +294,47 @@ class TestMonteCarlo:
             a, b = alone.row("nw", target), full.row("nw", target)
             for name in RESULT_FIELDS:
                 assert getattr(a, name) == getattr(b, name)
+
+    @pytest.mark.parametrize("spec, cv", [
+        (SimSpec(mu2(), "farbm", 60, 8, 3, 5), CvConfig()),
+        # the Jackknife's CV fails in every replication at n = 12, k = 2
+        (SimSpec(mu1(), "bm", 12, 100, 2, 0), CvConfig(k=2)),
+    ])
+    def test_replay_through_public_calls(self, spec, cv):
+        # Each replication through gen_series, cross_validate, fit, mse and
+        # mae; then np.mean / np.std over the replications that succeed.
+        errors = {name: [] for name in ESTIMATORS}
+        for rep in range(spec.reps):
+            series, truth_mu, truth_dmu = gen_series(spec, rep)
+            for name in ESTIMATORS:
+                try:
+                    report = cross_validate(
+                        series, CvConfig(cv.k, cv.grid_size, name))
+                except AllBandwidthsInvalid:
+                    continue
+                est = fit(name, series, SmoothConfig(report.best_h),
+                          derivative=True)
+                errors[name].append({
+                    "mu": (mse(est.mu_hat, truth_mu),
+                           mae(est.mu_hat, truth_mu)),
+                    "dmu": (mse(est.dmu_hat, truth_dmu),
+                            mae(est.dmu_hat, truth_dmu))})
+        table = monte_carlo(spec, cv=cv)
+        assert table.failures == {name: spec.reps - len(errors[name])
+                                  for name in ESTIMATORS}
+        rows = 0
+        for name, records in errors.items():
+            if not records:
+                continue
+            for target in ("mu", "dmu"):
+                mses = [r[target][0] for r in records]
+                maes = [r[target][1] for r in records]
+                want = dict(estimator=name, target=target, n=spec.n,
+                            m=spec.m, reps=len(records),
+                            mean_mse=np.mean(mses), sd_mse=np.std(mses),
+                            mean_mae=np.mean(maes), sd_mae=np.std(maes))
+                row = table.row(name, target)
+                for field in RESULT_FIELDS:
+                    assert getattr(row, field) == want[field], field
+                rows += 1
+        assert len(table.rows) == rows
